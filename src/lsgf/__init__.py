@@ -6,8 +6,8 @@ CDF estimation, center-vertex sampling, and denoising / compression tasks
 built on top of the resulting dictionaries.
 """
 
-from ._kernels import BACKEND, backend
-from .chebyshev import (ChebyshevApprox, apply_poly_bank, apply_poly_filter,
+from .chebyshev import (ChebyshevApprox, apply_poly_bank,
+                        apply_poly_bank_adjoint, apply_poly_filter,
                         chebyshev_fit, jackson_coefficients, poly_atom,
                         sup_error)
 from .filters import (FilterBank, Kernel, Warping, effective_support,
@@ -40,7 +40,7 @@ from .tasks import (DenoiseConfig, Metrics, OmpResult, add_noise,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "backend", "ChebyshevApprox", "apply_poly_bank",
+    "ChebyshevApprox", "apply_poly_bank", "apply_poly_bank_adjoint",
     "apply_poly_filter", "chebyshev_fit", "jackson_coefficients",
     "poly_atom", "sup_error", "FilterBank", "Kernel", "Warping",
     "effective_support", "make_adapted_translates", "make_dct_bands",

@@ -1,70 +1,61 @@
-"""Low-level CSR and Chebyshev recurrence kernels.
+"""Low-level CSR and Chebyshev recurrence kernels on scipy.sparse.
 
-Two interchangeable implementations live here: numba-compiled loops and a
-pure-numpy path.  The active backend is chosen at import time; setting the
-environment variable ``LSGF_NO_NUMBA=1`` (or numba being absent) selects the
-numpy path.  Both paths are kept importable so they can be compared directly
-in tests and benchmarks.
-
-All kernels are single-threaded so results are reproducible bit-for-bit for
-a given backend.
+The graph operator arrives as raw CSR arrays (indptr, indices, data).  Every
+Chebyshev entry point runs the same three-term recurrence for
+S = (A - center I) / half and differs only in what it accumulates from the
+vectors T_k(S) x.  Results are deterministic: the sparse product sums each
+row in storage order.
 """
 
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("LSGF_NO_NUMBA", "").strip().lower()
-_DISABLED = _FLAG not in ("", "0", "false")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by LSGF_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+import scipy.sparse
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _row_index(indptr, n_rows):
-    return np.repeat(np.arange(n_rows), np.diff(indptr))
+def _operator(indptr, indices, data):
+    n = indptr.shape[0] - 1
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def csr_matvec_np(indptr, indices, data, x, rows=None):
+def csr_matvec(indptr, indices, data, x):
     """y = A @ x for CSR arrays.  Handles empty rows (isolated vertices)."""
-    n = indptr.shape[0] - 1
-    if rows is None:
-        rows = _row_index(indptr, n)
-    return np.bincount(rows, weights=data * x[indices], minlength=n)
+    return _operator(indptr, indices, data) @ x
 
 
-def cheb_apply_np(indptr, indices, data, coeffs, center, half, x, rows=None):
-    """y = sum_k coeffs[k] T_k(S) x with S = (A - center I) / half."""
-    n = indptr.shape[0] - 1
-    if rows is None:
-        rows = _row_index(indptr, n)
-    t0 = x.astype(np.float64, copy=True)
-    y = coeffs[0] * t0
-    if coeffs.shape[0] == 1:
-        return y
-    lt = csr_matvec_np(indptr, indices, data, t0, rows)
-    t1 = (lt - center * t0) / half
-    y = y + coeffs[1] * t1
-    for k in range(2, coeffs.shape[0]):
-        lt = csr_matvec_np(indptr, indices, data, t1, rows)
-        t2 = 2.0 * (lt - center * t1) / half - t0
-        y = y + coeffs[k] * t2
+def _chebyshev_vectors(indptr, indices, data, n_terms, center, half, x):
+    """Yield T_k(S) x for k = 0 .. n_terms-1."""
+    a = _operator(indptr, indices, data)
+    t0 = np.array(x, dtype=np.float64)
+    yield t0
+    if n_terms == 1:
+        return
+    t1 = (a @ t0 - center * t0) / half
+    yield t1
+    for _ in range(2, n_terms):
+        t2 = 2.0 * (a @ t1 - center * t1) / half - t0
+        yield t2
         t0, t1 = t1, t2
-    return y
 
 
-def cheb_apply_stack_np(indptr, indices, data, coeff_rows, center, half, x,
-                        rows=None):
+def _stack(indptr, indices, data, coeff_rows, center, half, x):
+    out = None
+    vectors = _chebyshev_vectors(indptr, indices, data, coeff_rows.shape[1],
+                                 center, half, x)
+    for c, t in zip(coeff_rows.T, vectors):
+        term = np.multiply.outer(c, t)
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def cheb_apply(indptr, indices, data, coeffs, center, half, x):
+    """y = sum_k coeffs[k] T_k(S) x with S = (A - center I) / half."""
+    return _stack(indptr, indices, data, np.asarray(coeffs)[None], center,
+                  half, x)[0]
+
+
+def cheb_apply_stack(indptr, indices, data, coeff_rows, center, half, x):
     """Apply several polynomials of the same operator in one recurrence.
 
     coeff_rows has shape (J, K+1).  The Chebyshev vectors T_k(S) x are shared
@@ -72,154 +63,12 @@ def cheb_apply_stack_np(indptr, indices, data, coeff_rows, center, half, x,
     in ascending k, so row j is identical to a standalone cheb_apply with
     coeff_rows[j].
     """
-    n = indptr.shape[0] - 1
-    if rows is None:
-        rows = _row_index(indptr, n)
-    nj, nk = coeff_rows.shape
-    out = np.empty((nj, n))
-    t0 = x.astype(np.float64, copy=True)
-    for j in range(nj):
-        out[j] = coeff_rows[j, 0] * t0
-    if nk == 1:
-        return out
-    lt = csr_matvec_np(indptr, indices, data, t0, rows)
-    t1 = (lt - center * t0) / half
-    for j in range(nj):
-        out[j] = out[j] + coeff_rows[j, 1] * t1
-    for k in range(2, nk):
-        lt = csr_matvec_np(indptr, indices, data, t1, rows)
-        t2 = 2.0 * (lt - center * t1) / half - t0
-        for j in range(nj):
-            out[j] = out[j] + coeff_rows[j, k] * t2
-        t0, t1 = t1, t2
-    return out
+    return _stack(indptr, indices, data, np.asarray(coeff_rows), center,
+                  half, x)
 
 
-def cheb_moments_np(indptr, indices, data, n_moments, center, half, x,
-                    rows=None):
+def cheb_moments(indptr, indices, data, n_moments, center, half, x):
     """m[k] = x . T_k(S) x for k = 0 .. n_moments-1."""
-    n = indptr.shape[0] - 1
-    if rows is None:
-        rows = _row_index(indptr, n)
-    m = np.empty(n_moments)
-    t0 = x.astype(np.float64, copy=True)
-    m[0] = t0 @ t0
-    if n_moments == 1:
-        return m
-    lt = csr_matvec_np(indptr, indices, data, t0, rows)
-    t1 = (lt - center * t0) / half
-    m[1] = x @ t1
-    for k in range(2, n_moments):
-        lt = csr_matvec_np(indptr, indices, data, t1, rows)
-        t2 = 2.0 * (lt - center * t1) / half - t0
-        m[k] = x @ t2
-        t0, t1 = t1, t2
-    return m
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same recurrences, explicit loops)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _matvec_nb(indptr, indices, data, x):
-        n = indptr.shape[0] - 1
-        y = np.zeros(n)
-        for i in range(n):
-            acc = 0.0
-            for jj in range(indptr[i], indptr[i + 1]):
-                acc += data[jj] * x[indices[jj]]
-            y[i] = acc
-        return y
-
-    @njit(cache=True)
-    def _cheb_apply_nb(indptr, indices, data, coeffs, center, half, x):
-        t0 = x.astype(np.float64)
-        y = coeffs[0] * t0
-        if coeffs.shape[0] == 1:
-            return y
-        lt = _matvec_nb(indptr, indices, data, t0)
-        t1 = (lt - center * t0) / half
-        y = y + coeffs[1] * t1
-        for k in range(2, coeffs.shape[0]):
-            lt = _matvec_nb(indptr, indices, data, t1)
-            t2 = 2.0 * (lt - center * t1) / half - t0
-            y = y + coeffs[k] * t2
-            t0, t1 = t1, t2
-        return y
-
-    @njit(cache=True)
-    def _cheb_apply_stack_nb(indptr, indices, data, coeff_rows, center, half,
-                             x):
-        n = indptr.shape[0] - 1
-        nj, nk = coeff_rows.shape
-        out = np.empty((nj, n))
-        t0 = x.astype(np.float64)
-        for j in range(nj):
-            out[j] = coeff_rows[j, 0] * t0
-        if nk == 1:
-            return out
-        lt = _matvec_nb(indptr, indices, data, t0)
-        t1 = (lt - center * t0) / half
-        for j in range(nj):
-            out[j] = out[j] + coeff_rows[j, 1] * t1
-        for k in range(2, nk):
-            lt = _matvec_nb(indptr, indices, data, t1)
-            t2 = 2.0 * (lt - center * t1) / half - t0
-            for j in range(nj):
-                out[j] = out[j] + coeff_rows[j, k] * t2
-            t0, t1 = t1, t2
-        return out
-
-    @njit(cache=True)
-    def _cheb_moments_nb(indptr, indices, data, n_moments, center, half, x):
-        m = np.empty(n_moments)
-        t0 = x.astype(np.float64)
-        m[0] = t0 @ t0
-        if n_moments == 1:
-            return m
-        lt = _matvec_nb(indptr, indices, data, t0)
-        t1 = (lt - center * t0) / half
-        m[1] = x @ t1
-        for k in range(2, n_moments):
-            lt = _matvec_nb(indptr, indices, data, t1)
-            t2 = 2.0 * (lt - center * t1) / half - t0
-            m[k] = x @ t2
-            t0, t1 = t1, t2
-        return m
-
-    def csr_matvec_nb(indptr, indices, data, x, rows=None):
-        return _matvec_nb(indptr, indices, data, x)
-
-    def cheb_apply_nb(indptr, indices, data, coeffs, center, half, x,
-                      rows=None):
-        return _cheb_apply_nb(indptr, indices, data, coeffs, center, half, x)
-
-    def cheb_apply_stack_nb(indptr, indices, data, coeff_rows, center, half,
-                            x, rows=None):
-        return _cheb_apply_stack_nb(indptr, indices, data, coeff_rows, center,
-                                    half, x)
-
-    def cheb_moments_nb(indptr, indices, data, n_moments, center, half, x,
-                        rows=None):
-        return _cheb_moments_nb(indptr, indices, data, n_moments, center,
-                                half, x)
-
-    csr_matvec = csr_matvec_nb
-    cheb_apply = cheb_apply_nb
-    cheb_apply_stack = cheb_apply_stack_nb
-    cheb_moments = cheb_moments_nb
-    BACKEND = "numba"
-else:
-    csr_matvec = csr_matvec_np
-    cheb_apply = cheb_apply_np
-    cheb_apply_stack = cheb_apply_stack_np
-    cheb_moments = cheb_moments_np
-    BACKEND = "numpy"
-
-
-def backend():
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return BACKEND
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([x @ t for t in _chebyshev_vectors(
+        indptr, indices, data, n_moments, center, half, x)])

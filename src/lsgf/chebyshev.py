@@ -90,15 +90,11 @@ def apply_poly_filter(p, lap, f):
     _check_interval(p, lap)
     half = p.lambda_bar / 2.0
     return _kernels.cheb_apply(lap.indptr, lap.indices, lap.data, p.coeffs,
-                               half, half, f, lap._row_index())
+                               half, half, f)
 
 
-def apply_poly_bank(approxes, lap, f):
-    """Apply several approximants sharing one recurrence; rows match
-    apply_poly_filter per band bit-for-bit."""
-    f = as_signal(lap.n, f)
-    if not approxes:
-        return np.zeros((0, lap.n))
+def _bank_rows(approxes, lap):
+    """(J, K+1) zero-padded coefficient rows and the shared half-interval."""
     lb = approxes[0].lambda_bar
     for p in approxes:
         if p.lambda_bar != lb:
@@ -108,9 +104,45 @@ def apply_poly_bank(approxes, lap, f):
     rows = np.zeros((len(approxes), nk))
     for j, p in enumerate(approxes):
         rows[j, :p.coeffs.size] = p.coeffs
-    half = lb / 2.0
+    return rows, lb / 2.0
+
+
+def apply_poly_bank(approxes, lap, f):
+    """Apply several approximants sharing one recurrence; rows match
+    apply_poly_filter per band bit-for-bit."""
+    f = as_signal(lap.n, f)
+    if not approxes:
+        return np.zeros((0, lap.n))
+    rows, half = _bank_rows(approxes, lap)
     return _kernels.cheb_apply_stack(lap.indptr, lap.indices, lap.data, rows,
-                                     half, half, f, lap._row_index())
+                                     half, half, f)
+
+
+def apply_poly_bank_adjoint(approxes, lap, u):
+    """sum_j p_j(L) u_j for a (J, N) block: the adjoint of apply_poly_bank.
+
+    Clenshaw's recurrence with vector coefficients a_k = sum_j c_jk u_j,
+    b_k = a_k + 2 S b_{k+1} - b_{k+2}, result a_0 + S b_1 - b_2, costs K
+    sparse products for the whole bank instead of K per band.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (len(approxes), lap.n):
+        raise ValueError(f"block has shape {u.shape}, expected "
+                         f"({len(approxes)}, {lap.n})")
+    if not approxes:
+        return np.zeros(lap.n)
+    rows, half = _bank_rows(approxes, lap)
+
+    def scaled(b):
+        lb = _kernels.csr_matvec(lap.indptr, lap.indices, lap.data, b)
+        return (lb - half * b) / half
+
+    b1, b2 = rows[:, -1] @ u, np.zeros(lap.n)
+    for k in range(rows.shape[1] - 2, 0, -1):
+        b1, b2 = rows[:, k] @ u + 2.0 * scaled(b1) - b2, b1
+    if rows.shape[1] == 1:
+        return b1
+    return rows[:, 0] @ u + scaled(b1) - b2
 
 
 def sup_error(p, kernel, n_grid=2000):

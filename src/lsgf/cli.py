@@ -9,7 +9,6 @@ a key = value config file via --config; explicit flags win.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,14 +18,12 @@ from .filters import (Warping, make_adapted_translates, make_dct_bands,
                       make_ideal_partition, make_log_warped_translates,
                       make_sgwt, make_uniform_translates,
                       shift_edges_to_sparse_regions)
-from .frames import (analysis, dictionary_exact, dictionary_poly,
-                     frame_bounds, inverse_cg, inverse_frame_iteration,
-                     inverse_single_pass, synthesis)
+from .frames import (InverseInfo, analysis, dictionary_exact,
+                     dictionary_poly, frame_bounds, inverse_cg,
+                     inverse_frame_iteration, inverse_single_pass, synthesis)
 from .graphs import build_laplacian, eigendecompose
 from .spectrum import estimate_energy_cdf, estimate_spectral_cdf, \
     exact_spectral_cdf
-
-THREADS_ENV = "LSGF_NUM_THREADS"
 
 BANK_KEYS = ("design", "n_bands", "spacing", "warp", "nu",
              "k_scale", "cdf_file", "energy_cdf_file", "shift_edges")
@@ -317,6 +314,14 @@ def _pipeline_dictionary(args, lap):
     return _build_dictionary(args, lap, bank)
 
 
+def _solver_report(info):
+    """JSON form of CG convergence info; None for the non-CG inverses."""
+    if info is None:
+        return None
+    return {"converged": bool(info.converged), "n_iter": int(info.n_iter),
+            "residual": float(info.residual)}
+
+
 def cmd_denoise(args):
     if args.sigma is None or args.sigma <= 0:
         raise ValueError("--sigma must be a positive noise level")
@@ -335,7 +340,8 @@ def cmd_denoise(args):
     m = tasks.metrics(clean, fhat, noisy=noisy)
     out = {"nmse": m.nmse, "delta_snr_db": m.delta_snr_db,
            "sigma": args.sigma, "method": args.method,
-           "thresholds": [float(t) for t in report["thresholds"]]}
+           "thresholds": [float(t) for t in report["thresholds"]],
+           "solver": _solver_report(report["solver"])}
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")
@@ -354,6 +360,7 @@ def cmd_compress(args):
     if budgets[0] < 1:
         raise ValueError("sparsity budgets must be positive")
     rows = []
+    infos = []
     if args.method == "omp":
         result, _ = tasks.compress_omp(d, f, max(budgets))
         for t0 in budgets:
@@ -362,11 +369,17 @@ def cmd_compress(args):
     else:
         recon = None
         for t0 in budgets:
-            fhat, _, _ = tasks.compress_hard_threshold(d, f, t0)
+            fhat, _, info = tasks.compress_hard_threshold(d, f, t0)
             rows.append((t0, tasks.metrics(f, fhat).nmse))
+            infos.append(info)
             recon = fhat
+    # the worst case over the curve's CG solves, one per budget
+    solver = None if not infos else InverseInfo(
+        all(i.converged for i in infos), max(i.n_iter for i in infos),
+        max(i.residual for i in infos))
     out = {"method": args.method,
-           "curve": [{"n_terms": t, "nmse": v} for t, v in rows]}
+           "curve": [{"n_terms": t, "nmse": v} for t, v in rows],
+           "solver": _solver_report(solver)}
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")
@@ -512,21 +525,6 @@ def build_parser():
     return ap, sub.choices
 
 
-def _apply_thread_env():
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return
-    try:
-        count = max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    try:
-        import numba
-        numba.set_num_threads(min(count, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
-
-
 def _apply_config_defaults(subparser, defaults):
     # config keys become action defaults, converted with the action's own
     # type so later flag parsing behaves as if they came from the command
@@ -559,7 +557,6 @@ def main(argv=None):
             defaults = io.read_keyvalue_file(args.config)
             _apply_config_defaults(subparsers[args.command], defaults)
             args = ap.parse_args(argv)
-        _apply_thread_env()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import apply_poly_bank, chebyshev_fit
+from .chebyshev import (apply_poly_bank, apply_poly_bank_adjoint,
+                        apply_poly_filter, chebyshev_fit)
 from .graphs import as_signal
 
 
@@ -161,12 +162,22 @@ class Dictionary:
             return self.eig.inverse_fourier((self._diag * fhat).T).T
         return apply_poly_bank(self.approx, self.lap, f)
 
+    def adjoint(self, u):
+        """sum_j g_j(L) u_j for a (J, N) block: the adjoint of filter_all."""
+        if self.mode == "exact":
+            u = np.asarray(u, dtype=np.float64)
+            if u.shape != self._diag.shape:
+                raise ValueError(f"block has shape {u.shape}, expected "
+                                 f"{self._diag.shape}")
+            uhat = self.eig.fourier(u.T).T
+            return self.eig.inverse_fourier(np.sum(self._diag * uhat, axis=0))
+        return apply_poly_bank_adjoint(self.approx, self.lap, u)
+
     def filter_band(self, j, f):
         f = as_signal(self.lap.n, f)
         if self.mode == "exact":
             fhat = self.eig.fourier(f)
             return self.eig.inverse_fourier(self._diag[j] * fhat)
-        from .chebyshev import apply_poly_filter
         return apply_poly_filter(self.approx[j], self.lap, f)
 
     def atom(self, j, i):
@@ -227,12 +238,10 @@ def synthesis(d, c):
     if c.provenance is not None and c.provenance != d.token:
         raise ValueError("coefficients were computed with a different "
                          "dictionary (provenance mismatch)")
-    out = np.zeros(d.lap.n)
+    up = np.zeros((d.n_bands, d.lap.n))
     for j in range(d.n_bands):
-        up = np.zeros(d.lap.n)
-        up[c.centers[j]] = c.bands[j]
-        out += d.filter_band(j, up)
-    return out
+        up[j, c.centers[j]] = c.bands[j]
+    return d.adjoint(up)
 
 
 def frame_bounds(d, basis="exact_sigma", eig=None, n_grid=2000):
@@ -287,6 +296,44 @@ def inverse_frame_iteration(d, c, bounds, n_iter):
     return f
 
 
+def solve_cg(op, b, tol, max_iter, precond=None):
+    """Conjugate gradients for a symmetric positive semidefinite operator.
+
+    precond, if given, is the diagonal of a preconditioner.  Stops at a
+    relative residual of tol, after max_iter iterations, or on vanishing
+    curvature, and returns the iterate with the smallest relative residual
+    together with convergence info.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return np.zeros_like(b), InverseInfo(True, 0, 0.0)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r if precond is None else r / precond
+    p = z.copy()
+    rz = float(r @ z)
+    best_x, best_res = x.copy(), np.linalg.norm(r) / bnorm
+    it = 0
+    for it in range(1, max_iter + 1):
+        ap = op(p)
+        denom = float(p @ ap)
+        if denom <= 0:
+            break
+        alpha = rz / denom
+        x = x + alpha * p
+        r = r - alpha * ap
+        rel = np.linalg.norm(r) / bnorm
+        if rel < best_res:
+            best_res, best_x = rel, x.copy()
+        if rel <= tol:
+            return best_x, InverseInfo(True, it, best_res)
+        z = r if precond is None else r / precond
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return best_x, InverseInfo(False, it, best_res)
+
+
 def inverse_cg(d, c, tol=1e-10, max_iter=1000):
     """Conjugate gradients on the normal equations of the synthesis.
 
@@ -295,33 +342,8 @@ def inverse_cg(d, c, tol=1e-10, max_iter=1000):
     side lies in the frame operator's range, so rank deficiency (bands that
     vanish on part of the spectrum) leaves the unreachable component at zero.
     """
-    b = synthesis(d, c)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return np.zeros(d.lap.n), InverseInfo(True, 0, 0.0)
-    x = np.zeros(d.lap.n)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    best_x, best_res = x.copy(), np.sqrt(rs) / bnorm
-    it = 0
-    for it in range(1, max_iter + 1):
-        ap = synthesis(d, analysis(d, p))
-        denom = float(p @ ap)
-        if denom <= 0:
-            break
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        rel = np.sqrt(rs_new) / bnorm
-        if rel < best_res:
-            best_res, best_x = rel, x.copy()
-        if rel <= tol:
-            return best_x, InverseInfo(True, it, best_res)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return best_x, InverseInfo(False, it, best_res)
+    return solve_cg(lambda p: synthesis(d, analysis(d, p)), synthesis(d, c),
+                    tol, max_iter)
 
 
 def atom_norms_exact(d):

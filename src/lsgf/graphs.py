@@ -8,7 +8,7 @@ bound on their largest eigenvalue; every spectral interval in the package is
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -137,16 +137,9 @@ class Laplacian:
     data: np.ndarray
     lambda_max_bound: float
     graph: SparseGraph | None = None
-    _rows: np.ndarray | None = field(default=None, repr=False)
-
-    def _row_index(self):
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return self._rows
 
     def matvec(self, x):
-        return _kernels.csr_matvec(self.indptr, self.indices, self.data, x,
-                                   self._row_index())
+        return _kernels.csr_matvec(self.indptr, self.indices, self.data, x)
 
     def to_scipy(self):
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
@@ -256,9 +249,10 @@ def lanczos_lambda_max(lap, steps=30, seed=0):
     """Estimate of the largest Laplacian eigenvalue, inflated by 1.01.
 
     Runs a fully reorthogonalized Lanczos iteration from a Gaussian start
-    vector and returns 1.01 times the largest Ritz value.  The inflation
-    absorbs the downward bias of Ritz values so the result is safe to use as
-    a fitting interval endpoint.
+    vector and returns 1.01 times the largest Ritz value, capped at the
+    Laplacian's analytic bound.  The inflation is a heuristic margin for the
+    downward bias of Ritz values, not a certificate; the cap keeps the
+    result from ever exceeding the recorded bound.
     """
     rng = np.random.default_rng(seed)
     n = lap.n
@@ -293,4 +287,4 @@ def lanczos_lambda_max(lap, steps=30, seed=0):
         t[np.arange(len(off)), np.arange(len(off)) + 1] = off
         t[np.arange(len(off)) + 1, np.arange(len(off))] = off
     ritz = scipy.linalg.eigvalsh(t)
-    return 1.01 * float(ritz[-1])
+    return min(lap.lambda_max_bound, 1.01 * float(ritz[-1]))

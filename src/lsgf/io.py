@@ -211,21 +211,24 @@ def load_coefficients(path, n):
     compatibility is not re-checked at synthesis time.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != COEFF_MAGIC:
+        def read(size):
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError("truncated coefficient file")
+            return buf
+
+        if read(4) != COEFF_MAGIC:
             raise ValueError("not a coefficient file (bad magic)")
-        version, n_bands = struct.unpack("<II", fh.read(8))
+        version, n_bands = struct.unpack("<II", read(8))
         if version != COEFF_VERSION:
             raise ValueError(f"unsupported coefficient version {version}")
         bands, centers = [], []
         for j in range(n_bands):
-            band_id, count = struct.unpack("<II", fh.read(8))
+            band_id, count = struct.unpack("<II", read(8))
             if band_id != j:
                 raise ValueError(f"band {j}: unexpected id {band_id}")
-            verts = np.frombuffer(fh.read(4 * count), dtype="<u4")
-            vals = np.frombuffer(fh.read(8 * count), dtype="<f8")
-            if verts.size != count or vals.size != count:
-                raise ValueError(f"band {j}: truncated file")
+            verts = np.frombuffer(read(4 * count), dtype="<u4")
+            vals = np.frombuffer(read(8 * count), dtype="<f8")
             if count and verts.max() >= n:
                 raise ValueError(f"band {j}: vertex id out of range")
             centers.append(verts.astype(np.int64))

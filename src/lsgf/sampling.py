@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .chebyshev import apply_poly_filter
 from .filters import effective_support
+from .frames import solve_cg
 from .spectrum import rademacher_probe
 
 
@@ -217,7 +218,6 @@ def band_reconstruct(lap, vertices, omega, alpha, phi, kappa=1e4, tol=1e-8,
     vertices, W holds their selection weights, and phi is an off-band
     penalty polynomial.  Returns the solution and solver info.
     """
-    from .frames import InverseInfo
     vertices = np.asarray(vertices, dtype=np.int64)
     omega = np.asarray(omega, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -238,34 +238,7 @@ def band_reconstruct(lap, vertices, omega, alpha, phi, kappa=1e4, tol=1e-8,
     def op(x):
         return data_diag * x + apply_poly_filter(phi, lap, x)
 
-    bnorm = np.linalg.norm(rhs)
-    if bnorm == 0:
-        return np.zeros(n), InverseInfo(True, 0, 0.0)
-    x = np.zeros(n)
-    r = rhs.copy()
-    z = r / precond
-    p = z.copy()
-    rz = float(r @ z)
-    best_x, best_res = x.copy(), np.linalg.norm(r) / bnorm
-    it = 0
-    for it in range(1, max_iter + 1):
-        ap = op(p)
-        denom = float(p @ ap)
-        if denom <= 0:
-            break
-        a = rz / denom
-        x = x + a * p
-        r = r - a * ap
-        rel = np.linalg.norm(r) / bnorm
-        if rel < best_res:
-            best_res, best_x = rel, x.copy()
-        if rel <= tol:
-            return best_x, InverseInfo(True, it, best_res)
-        z = r / precond
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return best_x, InverseInfo(False, it, best_res)
+    return solve_cg(op, rhs, tol, max_iter, precond=precond)
 
 
 def uniqueness_partition(eig, bank, tol=1e-8):

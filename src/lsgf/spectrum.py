@@ -159,12 +159,10 @@ def estimate_spectral_cdf(lap, n_probes=10, kpm_degree=30, n_grid=50,
     lam_bar = lap.lambda_max_bound
     half = lam_bar / 2.0
     moments = np.zeros(kpm_degree + 1)
-    rows = lap._row_index()
     for t in range(n_probes):
         eta = rademacher_probe(lap.n, seed, t)
         moments += _kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
-                                         kpm_degree + 1, half, half, eta,
-                                         rows)
+                                         kpm_degree + 1, half, half, eta)
     moments /= n_probes
     damp = jackson_coefficients(kpm_degree)
     grid = np.linspace(0.0, lam_bar, n_grid)
@@ -211,7 +209,6 @@ def estimate_energy_cdf(lap, signals, mode="stochastic", eig=None, n_grid=50,
     den = 0.0
     damp = jackson_coefficients(kpm_degree)
     half = lam_bar / 2.0
-    rows = lap._row_index()
     for t in range(y.shape[0]):
         yt = as_signal(lap.n, y[t])
         nrm = np.linalg.norm(yt)
@@ -234,7 +231,7 @@ def estimate_energy_cdf(lap, signals, mode="stochastic", eig=None, n_grid=50,
             for i, z in enumerate(grid):
                 c = _step_coefficients(z, lam_bar, kpm_degree) * damp
                 fz = _kernels.cheb_apply(lap.indptr, lap.indices, lap.data,
-                                         c, half, half, yc, rows)
+                                         c, half, half, yc)
                 num[i] += float(fz @ fz)
         else:
             raise ValueError(f"unknown mode {mode!r}")

@@ -150,11 +150,18 @@ def test_denoise_reports_metrics(workspace):
                  "--denoised-out", str(den)]) == 0
     rep = json.loads(out.read_text())
     assert set(rep) == {"nmse", "delta_snr_db", "sigma", "method",
-                        "thresholds"}
+                        "thresholds", "solver"}
     assert rep["delta_snr_db"] > 0.0
     assert rep["method"] == "cg"
+    assert rep["solver"]["converged"] is True
+    assert rep["solver"]["n_iter"] >= 1
+    assert 0.0 <= rep["solver"]["residual"] <= 1e-10
     assert len(rep["thresholds"]) == 6
     assert load_signal_csv(den).size == 50
+    assert main(["denoise", "--graph", str(g), "--signal", str(f),
+                 "--sigma", repr(0.4 * rms), "--method", "single-pass",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["solver"] is None
     # sigma is mandatory and must be positive
     assert main(["denoise", "--graph", str(g), "--signal", str(f),
                  "--out", str(out)]) == 2
@@ -171,6 +178,7 @@ def test_compress_curves(workspace):
                  "--curve-out", str(curve)]) == 0
     rep = json.loads(out.read_text())
     assert rep["method"] == "omp"
+    assert rep["solver"] is None
     nmse = [row["nmse"] for row in rep["curve"]]
     assert [row["n_terms"] for row in rep["curve"]] == [5, 10, 20, 40]
     assert all(b <= a + 1e-12 for a, b in zip(nmse, nmse[1:]))
@@ -185,6 +193,9 @@ def test_compress_curves(workspace):
                  "--out", str(hard)]) == 0
     rep = json.loads(hard.read_text())
     assert rep["curve"][1]["nmse"] <= rep["curve"][0]["nmse"] + 1e-12
+    assert rep["solver"]["converged"] is True
+    assert rep["solver"]["n_iter"] >= 1
+    assert 0.0 <= rep["solver"]["residual"] <= 1e-10
     assert main(["compress", "--graph", str(g), "--signal", str(f),
                  "--n-terms", "0,5", "--out", str(out)]) == 2
 
@@ -237,14 +248,6 @@ def test_config_rejects_bad_keys_and_values(workspace):
                  "--signal", str(f), "--out", str(out)]) == 2
 
 
-def test_thread_env_validation(tmp_path, monkeypatch):
-    out = tmp_path / "bank.csv"
-    monkeypatch.setenv("LSGF_NUM_THREADS", "not-a-number")
-    assert main(["design", "--lambda-bar", "4.0", "--out", str(out)]) == 2
-    monkeypatch.setenv("LSGF_NUM_THREADS", "1")
-    assert main(["design", "--lambda-bar", "4.0", "--out", str(out)]) == 0
-
-
 def test_missing_files_exit_cleanly(tmp_path, capsys):
     out = tmp_path / "x.lsgc"
     rc = main(["transform", "--graph", str(tmp_path / "nope.csv"),
@@ -252,3 +255,24 @@ def test_missing_files_exit_cleanly(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_coefficient_file_exits_2(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    f = tmp_path / "f.csv"
+    c = tmp_path / "c.lsgc"
+    cut = tmp_path / "cut.lsgc"
+    rc = main(["generate", "--kind", "path", "--n", "4", "--out", str(g)])
+    assert rc == 0
+    f.write_text("value\n1.0\n-2.0\n0.5\n3.0\n")
+    bank = ["--design", "itersine", "--n-bands", "2"]
+    assert main(["transform", "--graph", str(g), "--signal", str(f),
+                 "--out", str(c), *bank]) == 0
+    data = c.read_bytes()
+    capsys.readouterr()
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        rc = main(["inverse", "--graph", str(g), "--coefficients", str(cut),
+                   "--out", str(tmp_path / "r.csv"), *bank])
+        assert rc == 2, size
+        assert "error:" in capsys.readouterr().err

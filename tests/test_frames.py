@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsgf.filters import (Kernel, FilterBank, make_ideal_partition,
                           make_sgwt, make_uniform_translates)
-from lsgf.frames import (analysis, atom_norm_estimate, atom_norms_exact,
-                         cumulative_coherence, dictionary_exact,
-                         dictionary_poly, frame_bounds, inverse_cg,
-                         inverse_frame_iteration, inverse_single_pass,
-                         single_pass_error_bound, synthesis)
+from lsgf.frames import (Coefficients, analysis, atom_norm_estimate,
+                         atom_norms_exact, cumulative_coherence,
+                         dictionary_exact, dictionary_poly, frame_bounds,
+                         inverse_cg, inverse_frame_iteration,
+                         inverse_single_pass, single_pass_error_bound,
+                         synthesis)
 from lsgf.generators import path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 
@@ -300,3 +303,25 @@ def test_band_eig_indices(setup):
                                        if k.params["closed_right"]
                                        else (eig.values < hi))
         assert np.array_equal(idx, np.flatnonzero(inside))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["exact",
+                                                               "poly"]))
+def test_synthesis_is_adjoint_of_analysis(setup, seed, mode):
+    # <Phi* f, c> = <f, Phi c> with random per-band center subsets
+    g, lap, eig, _ = setup
+    rng = np.random.default_rng(seed)
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    centers = [np.sort(rng.choice(lap.n, rng.integers(0, lap.n + 1),
+                                  replace=False)) for _ in range(4)]
+    if mode == "exact":
+        d = dictionary_exact(lap, bank, eig, centers=centers)
+    else:
+        d = dictionary_poly(lap, bank, 30, centers=centers)
+    f = rng.standard_normal(lap.n)
+    c = Coefficients(bands=[rng.standard_normal(cj.size)
+                            for cj in d.centers], centers=d.centers, n=lap.n)
+    lhs = sum(float(a @ b) for a, b in zip(analysis(d, f).bands, c.bands))
+    rhs = float(f @ synthesis(d, c))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * c.norm()

@@ -1,13 +1,12 @@
-"""Backend-level checks: numpy and numba kernels must agree."""
-
-import os
-import subprocess
-import sys
+"""Kernel-level checks: CSR products and the Chebyshev recurrences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsgf import _kernels
+from lsgf.chebyshev import ChebyshevApprox, apply_poly_bank_adjoint
 from lsgf.generators import erdos_renyi_graph, path_graph
 from lsgf.graphs import build_laplacian
 
@@ -27,7 +26,7 @@ def test_matvec_matches_scipy(lap):
     dense = lap.to_scipy().toarray()
     for _ in range(5):
         x = rng.standard_normal(lap.n)
-        y = _kernels.csr_matvec_np(*_csr(lap), x)
+        y = _kernels.csr_matvec(*_csr(lap), x)
         assert np.allclose(y, dense @ x, atol=1e-12)
 
 
@@ -37,30 +36,8 @@ def test_matvec_handles_empty_rows():
     indices = np.array([1, 0], dtype=np.int64)
     data = np.array([2.0, 2.0])
     x = np.array([1.0, -1.0, 5.0, 7.0])
-    y = _kernels.csr_matvec_np(indptr, indices, data, x)
+    y = _kernels.csr_matvec(indptr, indices, data, x)
     assert np.array_equal(y, [-2.0, 2.0, 0.0, 0.0])
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not active")
-def test_numba_matches_numpy(lap):
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(lap.n)
-    coeffs = rng.standard_normal(21)
-    stack = rng.standard_normal((4, 21))
-    center = half = lap.lambda_max_bound / 2.0
-    pairs = [
-        (_kernels.csr_matvec_np(*_csr(lap), x),
-         _kernels.csr_matvec_nb(*_csr(lap), x)),
-        (_kernels.cheb_apply_np(*_csr(lap), coeffs, center, half, x),
-         _kernels.cheb_apply_nb(*_csr(lap), coeffs, center, half, x)),
-        (_kernels.cheb_apply_stack_np(*_csr(lap), stack, center, half, x),
-         _kernels.cheb_apply_stack_nb(*_csr(lap), stack, center, half, x)),
-        (_kernels.cheb_moments_np(*_csr(lap), 21, center, half, x),
-         _kernels.cheb_moments_nb(*_csr(lap), 21, center, half, x)),
-    ]
-    for a, b in pairs:
-        scale = np.abs(a).max() + 1.0
-        assert np.abs(a - b).max() < 1e-12 * scale
 
 
 def test_stack_rows_match_single_apply_bitwise(lap):
@@ -107,19 +84,18 @@ def test_degree_zero_and_one():
     assert np.allclose(c1, (lap.toarray() @ x - 2.0 * x) / 2.0)
 
 
-def test_backend_flag_consistent():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.backend() == _kernels.BACKEND
-    if _kernels.BACKEND == "numba":
-        assert _kernels.cheb_apply is _kernels.cheb_apply_nb
-    else:
-        assert _kernels.cheb_apply is _kernels.cheb_apply_np
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, LSGF_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from lsgf import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_bands=st.integers(1, 6),
+       degree=st.integers(0, 40))
+def test_clenshaw_adjoint_matches_per_band_recurrences(lap, seed, n_bands,
+                                                       degree):
+    rng = np.random.default_rng(seed)
+    coeff_rows = rng.standard_normal((n_bands, degree + 1))
+    u = rng.standard_normal((n_bands, lap.n))
+    half = lap.lambda_max_bound / 2.0
+    approxes = [ChebyshevApprox(degree, c, lap.lambda_max_bound)
+                for c in coeff_rows]
+    got = apply_poly_bank_adjoint(approxes, lap, u)
+    want = sum(_kernels.cheb_apply(*_csr(lap), coeff_rows[j], half, half,
+                                   u[j]) for j in range(n_bands))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
