@@ -5,9 +5,13 @@ numpy Generator, so artifacts are reproducible across runs and machines.
 """
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.spatial
 
 from .graphs import SparseGraph, build_laplacian, eigendecompose
+
+_ER_ROWS = 64  # rows of the upper triangle drawn per erdos_renyi_graph block
 
 
 def path_graph(n):
@@ -40,12 +44,23 @@ def grid_graph(rows, cols):
 
 
 def erdos_renyi_graph(n, p, seed=0):
-    """G(n, p) with unit weights.  Disconnected draws trigger a warning."""
+    """G(n, p) with unit weights.  Disconnected draws trigger a warning.
+
+    One uniform draw per pair i < j in row-major order, taken _ER_ROWS rows
+    at a time from one stream: O(n) memory besides the edges, and the same
+    graph as drawing the whole triangle at once.
+    """
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < p
-    return SparseGraph.from_edges(n, iu[keep], ju[keep],
-                                  np.ones(int(keep.sum())))
+    src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r0 in range(0, n, _ER_ROWS):
+        rows = np.arange(r0, min(r0 + _ER_ROWS, n))
+        starts = np.concatenate([[0], np.cumsum(n - 1 - rows)])
+        k = np.flatnonzero(rng.random(starts[-1]) < p)
+        r = np.searchsorted(starts, k, side="right") - 1
+        src.append(rows[r])
+        dst.append(rows[r] + 1 + k - starts[r])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return SparseGraph.from_edges(n, src, dst, np.ones(src.size))
 
 
 def sensor_graph(n, k=6, seed=0):
@@ -63,55 +78,39 @@ def sensor_graph(n, k=6, seed=0):
     dists, nbrs = dists[:, 1:], nbrs[:, 1:]
     theta = float(dists.mean())
 
-    pairs = {}
-    for i in range(n):
-        for d, j in zip(dists[i], nbrs[i]):
-            key = (i, j) if i < j else (j, i)
-            pairs.setdefault(key, float(d))
+    # a pair found from both ends keeps the distance seen first, row-major
+    own = np.repeat(np.arange(n), k)
+    nbrs = nbrs.ravel()
+    lo, hi = np.minimum(own, nbrs), np.maximum(own, nbrs)
+    _, first = np.unique(lo * n + hi, return_index=True)
+    lo, hi, dd = lo[first], hi[first], dists.ravel()[first]
+    edges = [(lo, hi, dd)]
 
-    # bridge components until connected
-    while True:
-        comp = _component_labels(n, pairs)
-        n_comp = comp.max() + 1
-        if n_comp == 1:
-            break
-        best = None
-        for ca in range(n_comp - 1):
-            ia = np.flatnonzero(comp == ca)
-            ib = np.flatnonzero(comp != ca)
-            d2 = scipy.spatial.distance.cdist(pts[ia], pts[ib])
-            a, b = np.unravel_index(np.argmin(d2), d2.shape)
-            cand = (float(d2[a, b]), int(ia[a]), int(ib[b]))
-            if best is None or cand < best:
-                best = cand
-        d, i, j = best
-        key = (i, j) if i < j else (j, i)
-        pairs[key] = d
-
-    keys = sorted(pairs)
-    src = np.array([a for a, _ in keys])
-    dst = np.array([b for _, b in keys])
-    dd = np.array([pairs[kk] for kk in keys])
+    # join the closest pair across components until one is left; a merge
+    # moves no other component's closest outside point
+    n_comp, comp = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.coo_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n)),
+        directed=False)
+    near = {c: _closest_outside(pts, comp == c)
+            for c in range(n_comp)} if n_comp > 1 else {}
+    while len(near) > 1:
+        d, i, j = min(near.values())
+        edges.append((i, j, d))
+        del near[comp[j]]
+        comp[comp == comp[j]] = comp[i]
+        if len(near) > 1:
+            near[comp[i]] = _closest_outside(pts, comp == comp[i])
+    src, dst, dd = (np.hstack(col) for col in zip(*edges))
     w = np.exp(-dd ** 2 / (2 * theta ** 2))
     return SparseGraph.from_edges(n, src, dst, w, coords=pts)
 
 
-def _component_labels(n, pairs):
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    roots = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
+def _closest_outside(pts, inside):
+    """(distance, i, j) of the closest pair with i inside and j outside."""
+    ia, ib = np.flatnonzero(inside), np.flatnonzero(~inside)
+    d, b = scipy.spatial.cKDTree(pts[ib]).query(pts[ia])
+    a = int(np.argmin(d))
+    return float(d[a]), int(ia[a]), int(ib[b[a]])
 
 
 def clique_chain_graph(sizes, link_weight=0.01):

@@ -7,12 +7,12 @@ bound on their largest eigenvalue; every spectral interval in the package is
 """
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from . import _kernels
 
@@ -59,27 +59,26 @@ class SparseGraph:
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("edge weights must be positive and finite")
 
-        seen = {}
-        for a, b, ww in zip(src, dst, w):
-            key = (a, b) if a < b else (b, a)
-            if key in seen and seen[key] != ww:
-                raise ValueError(f"conflicting duplicate edge {key}")
-            seen[key] = ww
-        m = len(seen)
-        uu = np.empty(2 * m, dtype=np.int64)
-        vv = np.empty(2 * m, dtype=np.int64)
-        ww = np.empty(2 * m, dtype=np.float64)
-        for i, ((a, b), wt) in enumerate(seen.items()):
-            uu[2 * i], vv[2 * i], ww[2 * i] = a, b, wt
-            uu[2 * i + 1], vv[2 * i + 1], ww[2 * i + 1] = b, a, wt
-        adj = scipy.sparse.coo_matrix((ww, (uu, vv)), shape=(n, n)).tocsr()
+        # sort pairs in (min, max) order; the stable sort keeps input order
+        # within a pair, so the conflict reported is the earliest one
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+        first = np.diff(lo * n + hi, prepend=-1) != 0
+        clash = np.flatnonzero(~first & (np.diff(w, prepend=w[:1]) != 0))
+        if clash.size:
+            k = clash[np.argmin(order[clash])]
+            raise ValueError(f"conflicting duplicate edge ({lo[k]}, {hi[k]})")
+        lo, hi, w = lo[first], hi[first], w[first]
+        adj = scipy.sparse.coo_matrix(
+            (np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n)).tocsr()
         adj.sort_indices()
         g = cls(n=n,
                 indptr=adj.indptr.astype(np.int64),
                 indices=adj.indices.astype(np.int64),
                 weights=adj.data.astype(np.float64),
                 coords=None if coords is None else np.asarray(coords, float))
-        if m > 0 and not g.is_connected():
+        if lo.size and not g.is_connected():
             warnings.warn("graph is disconnected", stacklevel=2)
         return g
 
@@ -94,30 +93,20 @@ class SparseGraph:
                   self.weights)
         return out
 
-    def neighbors(self, i):
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def to_scipy(self):
         return scipy.sparse.csr_matrix(
             (self.weights, self.indices, self.indptr), shape=(self.n, self.n))
 
     def hop_distances(self, source):
-        """Unweighted BFS hop count from source; -1 marks unreachable."""
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            u = q.popleft()
-            for v in self.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        return dist
+        """Unweighted hop count from source; -1 marks unreachable vertices."""
+        dist = scipy.sparse.csgraph.shortest_path(
+            self.to_scipy(), unweighted=True, indices=source)
+        return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
     def is_connected(self):
-        if self.n == 0:
-            return True
-        return bool(np.all(self.hop_distances(0) >= 0))
+        """True when the graph has one component or no vertices at all."""
+        return self.n == 0 or scipy.sparse.csgraph.connected_components(
+            self.to_scipy(), directed=False, return_labels=False) == 1
 
 
 @dataclass

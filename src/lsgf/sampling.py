@@ -83,9 +83,11 @@ def uniform_weights(n_bands, n):
 def draw_centers(weights, counts, seed=0):
     """Weighted draws without replacement, independently per band.
 
-    Vertices are drawn one at a time proportionally to the remaining
-    weights; each draw removes its vertex.  The stored weight of a chosen
-    vertex is its original normalized weight in the band.
+    The counts[j] positive-weight vertices with the largest keys log(u) / w,
+    u uniform, win (Efraimidis & Spirakis, IPL 2006): exactly the law of
+    drawing one vertex at a time in proportion to the remaining weights,
+    though a seed gives other sets than such successive draws.  The stored
+    weight of a chosen vertex is its original normalized weight in the band.
     """
     weights = np.asarray(weights, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -95,21 +97,17 @@ def draw_centers(weights, counts, seed=0):
     sets, wts = [], []
     for j in range(weights.shape[0]):
         w = weights[j] / weights[j].sum()
-        support = int(np.count_nonzero(w))
-        if counts[j] > support:
+        support = np.flatnonzero(w > 0)
+        if counts[j] > support.size:
             raise ValueError(
                 f"band {j}: requested {counts[j]} centers but only "
-                f"{support} vertices have positive weight")
-        rem = w.copy()
-        chosen = np.empty(counts[j], dtype=np.int64)
-        for t in range(counts[j]):
-            rem = rem / rem.sum()
-            i = rng.choice(rem.size, p=rem)
-            chosen[t] = i
-            rem[i] = 0.0
-        order = np.argsort(chosen)
-        sets.append(chosen[order])
-        wts.append(w[chosen[order]])
+                f"{support.size} vertices have positive weight")
+        # largest log(u)/w is smallest -log(u)/w, a standard exponential / w
+        race = rng.standard_exponential(support.size) / w[support]
+        top = np.argpartition(race, counts[j] - 1)[:counts[j]] \
+            if counts[j] else []
+        sets.append(np.sort(support[top]))
+        wts.append(w[sets[-1]])
     return CenterSets(sets=sets, weights=wts)
 
 

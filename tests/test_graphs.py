@@ -1,10 +1,14 @@
 """Graph containers, Laplacians and eigendecompositions on small oracles."""
 
+import hashlib
+from collections import deque
+
 import numpy as np
 import pytest
 
-from lsgf.generators import (cycle_graph, erdos_renyi_graph, grid_graph,
-                             path_graph, sensor_graph)
+from lsgf.generators import (clique_chain_graph, cycle_graph,
+                             erdos_renyi_graph, grid_graph, path_graph,
+                             sensor_graph)
 from lsgf.graphs import (SparseGraph, as_signal, build_laplacian,
                          eigendecompose, lanczos_lambda_max, quadratic_form)
 
@@ -91,12 +95,66 @@ def test_from_edges_rejects_bad_input():
         SparseGraph.from_edges(3, [0], [3], [1.0])
     with pytest.raises(ValueError, match="conflicting duplicate"):
         SparseGraph.from_edges(3, [0, 1], [1, 0], [1.0, 2.0])
+    # the pair named is the first conflict in input order: (2, 3) at
+    # position 2, before (0, 1) at position 3
+    with pytest.raises(ValueError, match=r"duplicate edge \(2, 3\)$"):
+        SparseGraph.from_edges(4, [2, 0, 3, 1], [3, 1, 2, 0],
+                               [1.0, 1.0, 2.0, 3.0])
 
 
 def test_from_edges_merges_consistent_duplicates():
     g = SparseGraph.from_edges(3, [0, 1, 1], [1, 0, 2], [1.5, 1.5, 2.0])
     assert g.n_edges == 2
     assert np.allclose(g.degrees(), [1.5, 3.5, 2.0])
+
+
+def _csr(g):
+    return g.indptr, g.indices, g.weights
+
+
+def test_from_edges_ignores_edge_order_and_orientation():
+    g = sensor_graph(60, seed=2)
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    upper = rows < g.indices
+    src, dst, w = rows[upper], g.indices[upper], g.weights[upper]
+    rng = np.random.default_rng(0)
+    flip = rng.random(src.size) < 0.5
+    twice = rng.random(src.size) < 0.3
+    src2 = np.concatenate([np.where(flip, dst, src), dst[twice]])
+    dst2 = np.concatenate([np.where(flip, src, dst), src[twice]])
+    w2 = np.concatenate([w, w[twice]])
+    perm = rng.permutation(src2.size)
+    h = SparseGraph.from_edges(g.n, src2[perm], dst2[perm], w2[perm])
+    for a, b in zip(_csr(g), _csr(h)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _csr_sha256(g):
+    h = hashlib.sha256()
+    for a, dtype in zip(_csr(g), ("<i8", "<i8", "<f8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_sensor_graphs_match_recorded_csr():
+    # digests of the CSR arrays as first generated; k=1 leaves 87
+    # components for the bridging step to join
+    assert _csr_sha256(sensor_graph(300, seed=0)) == (
+        "694a5f58b9204f20ae53b7ae6cc3cf267d324b4fc2b400fd4f7fe6167e188594")
+    assert _csr_sha256(sensor_graph(300, k=1, seed=0)) == (
+        "5e7f9ccfc517585e1a0bed0e7c7b535e210e133688d72ca4050d14d78d2d403c")
+
+
+def test_erdos_renyi_matches_one_draw_per_triangle_pair():
+    for n, p, seed in [(1, 0.5, 0), (2, 1.0, 0), (65, 0.1, 1),
+                       (150, 0.08, 3), (200, 0.3, 4)]:
+        iu, ju = np.triu_indices(n, k=1)
+        keep = np.random.default_rng(seed).random(iu.size) < p
+        ref = SparseGraph.from_edges(n, iu[keep], ju[keep],
+                                     np.ones(int(keep.sum())))
+        g = erdos_renyi_graph(n, p, seed=seed)
+        for a, b in zip(_csr(ref), _csr(g)):
+            assert np.array_equal(a, b)
 
 
 def test_disconnected_graph_warns():
@@ -111,6 +169,39 @@ def test_hop_distances_on_path():
     g = path_graph(6)
     assert np.array_equal(g.hop_distances(0), np.arange(6))
     assert np.array_equal(g.hop_distances(5), np.arange(6)[::-1])
+
+
+def _bfs_hops(g, source):
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.indices[g.indptr[u]:g.indptr[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def test_hop_distances_match_breadth_first_search():
+    with pytest.warns(UserWarning, match="disconnected"):
+        split = SparseGraph.from_edges(7, [0, 1, 3, 4, 4], [1, 2, 4, 5, 6],
+                                       np.ones(5))
+    graphs = [split, sensor_graph(80, seed=3), grid_graph(5, 7),
+              clique_chain_graph([3, 4, 5])]
+    for g in graphs:
+        for source in (0, g.n // 2, g.n - 1):
+            got = g.hop_distances(source)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _bfs_hops(g, source))
+        assert g.is_connected() == bool(np.all(_bfs_hops(g, 0) >= 0))
+
+
+def test_is_connected_edge_cases():
+    assert SparseGraph.from_edges(0, [], [], []).is_connected()
+    assert SparseGraph.from_edges(1, [], [], []).is_connected()
+    assert not SparseGraph.from_edges(2, [], [], []).is_connected()
 
 
 def test_grid_graph_shape():

@@ -97,6 +97,43 @@ def test_draw_centers_support_guard():
         draw_centers(w, np.array([3]), seed=0)
 
 
+def test_draw_centers_match_successive_sampling_probabilities():
+    # two draws without replacement from four unequal weights: pair {i, k}
+    # comes up with probability w_i w_k / (1 - w_i) + w_k w_i / (1 - w_k),
+    # vertex i with w_i + sum_k w_k w_i / (1 - w_k); 20000 draws put one
+    # standard error below 0.0036, so 0.015 is over four of them
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    rows = 10
+    pair_hits = np.zeros((4, 4))
+    n_draws = 0
+    for seed in range(2000):
+        cs = draw_centers(np.tile(w, (rows, 1)), np.full(rows, 2), seed=seed)
+        for i, k in cs.sets:
+            pair_hits[i, k] += 1
+        n_draws += rows
+    for i in range(4):
+        for k in range(i + 1, 4):
+            expect = w[i] * w[k] / (1 - w[i]) + w[k] * w[i] / (1 - w[k])
+            assert abs(pair_hits[i, k] / n_draws - expect) < 0.015, (i, k)
+    inclusion = (pair_hits + pair_hits.T).sum(axis=1) / n_draws
+    expect = w + w * ((w / (1 - w)).sum() - w / (1 - w))
+    assert np.allclose(expect.sum(), 2.0)
+    assert np.max(np.abs(inclusion - expect)) < 0.015
+
+
+def test_draw_centers_never_draw_zero_weight_vertices():
+    w = np.zeros((1, 40))
+    live = np.array([3, 7, 8, 21, 30, 39])
+    w[0, live] = [1e-300, 5.0, 0.5, 2.0, 1e-9, 3.0]
+    for seed in range(200):
+        got = draw_centers(w, np.array([4]), seed=seed).sets[0]
+        assert np.all(np.isin(got, live))
+        full = draw_centers(w, np.array([live.size]), seed=seed)
+        assert np.array_equal(full.sets[0], live)
+    empty = draw_centers(w, np.array([0]), seed=0)
+    assert empty.sets[0].size == 0 and empty.weights[0].size == 0
+
+
 def test_greedy_centers_path_oracle():
     # on a 9-path with a heat atom, vertex 3 carries the largest l1 mass;
     # suppression then drives the remaining picks to the two ends
