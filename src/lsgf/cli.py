@@ -20,10 +20,9 @@ from .filters import (Warping, make_adapted_translates, make_dct_bands,
                       shift_edges_to_sparse_regions)
 from .frames import (InverseInfo, analysis, dictionary_exact,
                      dictionary_poly, frame_bounds, inverse_cg,
-                     inverse_frame_iteration, inverse_single_pass, synthesis)
+                     inverse_frame_iteration, inverse_single_pass)
 from .graphs import build_laplacian, eigendecompose
-from .spectrum import estimate_energy_cdf, estimate_spectral_cdf, \
-    exact_spectral_cdf
+from .spectrum import estimate_spectral_cdf, exact_spectral_cdf
 
 BANK_KEYS = ("design", "n_bands", "spacing", "warp", "nu",
              "k_scale", "cdf_file", "energy_cdf_file", "shift_edges")

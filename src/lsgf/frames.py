@@ -360,17 +360,21 @@ def atom_norm_estimate(d, n_probes=50, seed=0):
 
     The sample standard deviation across probes of the filtered white signal
     at vertex i estimates the norm of the atom centered there.  Works in
-    either mode and never materializes atoms.
+    either mode, never materializes atoms, and streams the probes through
+    Welford's running mean and sum of squared deviations.
     """
     if n_probes < 2:
         raise ValueError("need at least two probes for a standard deviation")
-    samples = np.zeros((n_probes, d.n_bands, d.lap.n))
+    mean = np.zeros((d.n_bands, d.lap.n))
+    m2 = np.zeros_like(mean)
     for t in range(n_probes):
         rng = np.random.default_rng([seed, t])
-        eta = rng.standard_normal(d.lap.n)
-        samples[t] = d.filter_all(eta)
-    sd = np.std(samples, axis=0, ddof=1)
-    return [sd[j][d.centers[j]] for j in range(d.n_bands)]
+        sample = d.filter_all(rng.standard_normal(d.lap.n))
+        delta = sample - mean
+        mean += delta / (t + 1)
+        m2 += delta * (sample - mean)
+    return [np.sqrt(m2[j][d.centers[j]] / (n_probes - 1))
+            for j in range(d.n_bands)]
 
 
 def cumulative_coherence(d, k):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chebyshev import apply_poly_filter
+from . import _kernels
+from .chebyshev import _check_interval, apply_poly_filter, poly_atom
 from .filters import effective_support
 from .frames import solve_cg
 from .spectrum import rademacher_probe
@@ -116,35 +117,32 @@ def greedy_centers(lap, p, count, prune_level=0.01):
 
     Scores every vertex by the l1 norm of its polynomial atom p(L) delta_i,
     repeatedly takes the best-scored vertex (ties break to the lowest
-    index), and damps the scores of vertices covered by the chosen atom:
-    entries above prune_level times the atom's sup norm are scaled by one
-    minus their relative magnitude.  No eigendecomposition is used.
+    index), and damps the scores of unchosen vertices covered by the chosen
+    atom: entries above prune_level times the atom's sup norm are scaled by
+    one minus their relative magnitude.  Atoms are scored in column blocks,
+    so memory is O(N); no eigendecomposition is used.
     """
     n = lap.n
     if not 1 <= count <= n:
         raise ValueError("count must be between 1 and n")
-    cols = np.empty((n, n))
+    _check_interval(p, lap)
+    half = p.lambda_bar / 2.0
+    scores = np.empty(n)
     block = 256
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        eye = np.zeros((n, stop - start))
-        eye[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        for k in range(stop - start):
-            cols[:, start + k] = apply_poly_filter(p, lap, eye[:, k])
-    scores = np.abs(cols).sum(axis=0)
-    chosen = np.empty(count, dtype=np.int64)
-    for t in range(count):
+        eye = np.eye(n, min(block, n - start), k=-start)
+        cols = _kernels.cheb_apply(lap.indptr, lap.indices, lap.data,
+                                   p.coeffs, half, half, eye)
+        scores[start:start + eye.shape[1]] = np.abs(cols).sum(axis=0)
+    for _ in range(count):
+        # a chosen vertex is marked by a score of -inf and never damped
         i = int(np.argmax(scores))
-        if scores[i] == -np.inf:
-            raise ValueError("ran out of selectable vertices")
-        chosen[t] = i
-        atom = np.abs(cols[:, i])
-        peak = atom.max()
-        if peak > 0:
-            mask = atom > prune_level * peak
-            scores[mask] *= 1.0 - atom[mask] / peak
         scores[i] = -np.inf
-    return np.sort(chosen)
+        atom = np.abs(poly_atom(p, lap, i))
+        peak = atom.max()
+        mask = (atom > prune_level * peak) & (scores > -np.inf)
+        scores[mask] *= 1.0 - atom[mask] / peak
+    return np.flatnonzero(scores == -np.inf)
 
 
 def _band_cdf_increment(kernel, cdf):

@@ -14,7 +14,6 @@ to a signal class.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import _kernels
 from .chebyshev import jackson_coefficients
@@ -33,7 +32,7 @@ class SpectralCDF:
     grid: np.ndarray
     values: np.ndarray
     eigenvalues: np.ndarray | None = None
-    _interp: PchipInterpolator = field(init=False, repr=False)
+    _interp: object = field(init=False, repr=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=np.float64)
@@ -46,6 +45,8 @@ class SpectralCDF:
             raise ValueError("values must match grid")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("values must be nondecreasing")
+        # scipy.interpolate loads slowly and most CLI commands build no CDF
+        from scipy.interpolate import PchipInterpolator
         self._interp = PchipInterpolator(self.grid, self.values)
 
     @property
@@ -126,14 +127,20 @@ def exact_spectral_cdf(eig, lambda_bar=None):
 
 def _step_coefficients(z, lambda_bar, degree):
     """Chebyshev coefficients of the indicator 1{lambda <= z} on the mapped
-    interval; closed form via the arccos of the mapped threshold."""
+    interval, one row per threshold when z is an array; closed form via the
+    arccos of the mapped threshold."""
     s = np.clip(2.0 * z / lambda_bar - 1.0, -1.0, 1.0)
-    theta = np.arccos(s)
+    theta = np.arccos(s)[..., None]
     k = np.arange(1, degree + 1)
-    c = np.empty(degree + 1)
-    c[0] = 1.0 - theta / np.pi
-    c[1:] = -2.0 * np.sin(k * theta) / (np.pi * k)
-    return c
+    return np.concatenate([1.0 - theta / np.pi,
+                           -2.0 * np.sin(k * theta) / (np.pi * k)], axis=-1)
+
+
+def _monotone_cdf(grid, values):
+    """Clamp to [0, 1], make nondecreasing by a running maximum, end at 1."""
+    values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+    values[-1] = 1.0
+    return SpectralCDF(grid=grid, values=values)
 
 
 def rademacher_probe(n, seed, index):
@@ -158,22 +165,14 @@ def estimate_spectral_cdf(lap, n_probes=10, kpm_degree=30, n_grid=50,
         raise ValueError("n_probes, kpm_degree >= 1 and n_grid >= 2 required")
     lam_bar = lap.lambda_max_bound
     half = lam_bar / 2.0
-    moments = np.zeros(kpm_degree + 1)
-    for t in range(n_probes):
-        eta = rademacher_probe(lap.n, seed, t)
-        moments += _kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
-                                         kpm_degree + 1, half, half, eta)
-    moments /= n_probes
-    damp = jackson_coefficients(kpm_degree)
+    moments = sum(_kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
+                                        kpm_degree + 1, half, half,
+                                        rademacher_probe(lap.n, seed, t))
+                  for t in range(n_probes)) / n_probes
     grid = np.linspace(0.0, lam_bar, n_grid)
-    values = np.empty(n_grid)
-    for i, z in enumerate(grid):
-        c = _step_coefficients(z, lam_bar, kpm_degree) * damp
-        values[i] = (c @ moments) / lap.n
-    values = np.clip(values, 0.0, 1.0)
-    values = np.maximum.accumulate(values)
-    values[-1] = 1.0
-    return SpectralCDF(grid=grid, values=values)
+    steps = (_step_coefficients(grid, lam_bar, kpm_degree)
+             * jackson_coefficients(kpm_degree))
+    return _monotone_cdf(grid, (steps @ moments) / lap.n)
 
 
 def _dc_direction(lap):
@@ -193,22 +192,25 @@ def estimate_energy_cdf(lap, signals, mode="stochastic", eig=None, n_grid=50,
     Each signal is normalized by its full norm, then its DC component (the
     Laplacian's null direction) is removed; the value at z is the summed
     energy at frequencies in (0, z] over the summed non-DC energy.  Exact
-    mode uses Fourier coefficients; stochastic mode filters each signal with
-    Jackson-Chebyshev step approximants on the grid.
+    mode sums squared Fourier coefficients; stochastic mode reads the energy
+    of every Jackson-damped step p_z off the signals' Chebyshev moments
+    mu_k = y' T_k(S) y, k <= 2K, instead of filtering per grid point.
 
     Raises on an all-zero or constant training signal, which carries no
     non-DC energy to distribute.
     """
+    if mode not in ("exact", "stochastic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and eig is None:
+        raise ValueError("exact mode needs an eigendecomposition")
     y = np.atleast_2d(np.asarray(signals, dtype=np.float64))
     if y.shape[1] != lap.n:
         raise ValueError("training signals must have one column per vertex")
     lam_bar = lap.lambda_max_bound
+    half = lam_bar / 2.0
     grid = np.linspace(0.0, lam_bar, n_grid)
     dc = _dc_direction(lap)
-    num = np.zeros(n_grid)
-    den = 0.0
-    damp = jackson_coefficients(kpm_degree)
-    half = lam_bar / 2.0
+    rows = np.empty_like(y)
     for t in range(y.shape[0]):
         yt = as_signal(lap.n, y[t])
         nrm = np.linalg.norm(yt)
@@ -217,25 +219,21 @@ def estimate_energy_cdf(lap, signals, mode="stochastic", eig=None, n_grid=50,
         yc = yt - dc * (dc @ yt)
         if np.linalg.norm(yc) <= 1e-12 * nrm:
             raise ValueError(f"training signal {t} is constant (DC only)")
-        yc = yc / nrm
-        den += float(yc @ yc)
-        if mode == "exact":
-            if eig is None:
-                raise ValueError("exact mode needs an eigendecomposition")
-            co = eig.fourier(yc) ** 2
-            lower = np.searchsorted(eig.values, 1e-12 * lam_bar, side="left")
-            for i, z in enumerate(grid):
-                hi = np.searchsorted(eig.values, z, side="right")
-                num[i] += float(np.sum(co[lower:hi]))
-        elif mode == "stochastic":
-            for i, z in enumerate(grid):
-                c = _step_coefficients(z, lam_bar, kpm_degree) * damp
-                fz = _kernels.cheb_apply(lap.indptr, lap.indices, lap.data,
-                                         c, half, half, yc)
-                num[i] += float(fz @ fz)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    values = np.clip(num / den, 0.0, 1.0)
-    values = np.maximum.accumulate(values)
-    values[-1] = 1.0
-    return SpectralCDF(grid=grid, values=values)
+        rows[t] = yc / nrm
+    den = float(np.sum(rows ** 2))
+    if mode == "exact":
+        lower = np.searchsorted(eig.values, 1e-12 * lam_bar, side="left")
+        hi = np.maximum(np.searchsorted(eig.values, grid, side="right"),
+                        lower)
+        cum = np.cumsum(np.r_[0.0, np.sum(eig.fourier(rows.T) ** 2, axis=1)])
+        return _monotone_cdf(grid, (cum[hi] - cum[lower]) / den)
+    mu = sum(_kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
+                                   2 * kpm_degree + 1, half, half, r)
+             for r in rows)
+    # T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 gives ||p(S) y||^2 = c' H c
+    k = np.arange(kpm_degree + 1)
+    gram = (mu[k[:, None] + k] + mu[np.abs(k[:, None] - k)]) / 2.0
+    steps = (_step_coefficients(grid, lam_bar, kpm_degree)
+             * jackson_coefficients(kpm_degree))
+    return _monotone_cdf(grid, np.einsum("gi,ij,gj->g", steps, gram, steps)
+                         / den)

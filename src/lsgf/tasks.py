@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import (analysis, atom_norm_estimate, atom_norms_exact,
                      frame_bounds, inverse_cg, inverse_frame_iteration,
-                     inverse_single_pass, synthesis)
+                     inverse_single_pass)
 
 DELTA_SNR_CAP_DB = 300.0
 

@@ -1,10 +1,15 @@
 """End-to-end command-line workflows in temporary directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsgf
 from lsgf.cli import main
 from lsgf.io import (load_cdf_csv, load_centers_csv, load_coefficients,
                      load_graph, load_signal_csv)
@@ -276,3 +281,15 @@ def test_truncated_coefficient_file_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "r.csv"), *bank])
         assert rc == 2, size
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_interpolation_unloaded():
+    # most commands build no CDF, so the CLI must not pay for loading
+    # scipy.interpolate at start-up
+    src = str(Path(lsgf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lsgf.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

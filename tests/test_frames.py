@@ -250,6 +250,23 @@ def test_atom_norm_estimate_converges(setup):
     assert np.array_equal(est, again)
 
 
+@pytest.mark.parametrize("mode", ["exact", "poly"])
+def test_atom_norm_estimate_matches_stacked_std(setup, mode):
+    g, lap, eig, f = setup
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    d = (dictionary_exact(lap, bank, eig) if mode == "exact"
+         else dictionary_poly(lap, bank, 25))
+    n_probes, seed = 40, 7
+    samples = np.stack([
+        d.filter_all(np.random.default_rng([seed, t]).standard_normal(g.n))
+        for t in range(n_probes)])
+    ref = np.std(samples, axis=0, ddof=1)
+    est = atom_norm_estimate(d, n_probes=n_probes, seed=seed)
+    for j in range(d.n_bands):
+        want = ref[j][d.centers[j]]
+        assert np.all(np.abs(est[j] - want) <= 1e-12 * want)
+
+
 def test_coherence_identity_dictionary():
     # one all-pass band makes g(L) the identity: atoms are the standard
     # basis, mutually orthogonal

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from lsgf.chebyshev import apply_poly_filter, chebyshev_fit
-from lsgf.filters import make_ideal_partition, make_uniform_translates
+from lsgf.filters import (make_ideal_partition, make_sgwt,
+                          make_uniform_translates)
 from lsgf.frames import dictionary_exact, dictionary_poly
 from lsgf.generators import cycle_graph, path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
@@ -156,6 +157,15 @@ def test_greedy_suppression_changes_selection(setup):
         scores[i] = np.abs(apply_poly_filter(dp.approx[0], lap, e)).sum()
     plain = np.sort(np.argsort(scores)[-6:])
     assert not np.array_equal(got, plain)
+
+
+def test_greedy_centers_never_repick_a_chosen_vertex():
+    # here a chosen vertex is the peak of a later atom; damping its -inf
+    # score by the factor 0 would give NaN, which argmax picks again
+    lap = build_laplacian(sensor_graph(300, seed=0), kind="combinatorial")
+    p = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 20).approx[0]
+    got = greedy_centers(lap, p, 40)
+    assert got.size == 40 and np.unique(got).size == 40
 
 
 def test_greedy_count_guard(setup):

@@ -3,13 +3,66 @@
 import numpy as np
 import pytest
 
+from lsgf import _kernels
+from lsgf.chebyshev import jackson_coefficients
 from lsgf.generators import (cycle_graph, erdos_renyi_graph, path_graph,
                              sensor_graph)
 from lsgf.generators import piecewise_smooth_signal
 from lsgf.graphs import build_laplacian, eigendecompose
-from lsgf.spectrum import (SpectralCDF, _step_coefficients,
+from lsgf.spectrum import (SpectralCDF, _dc_direction, _step_coefficients,
                            estimate_energy_cdf, estimate_spectral_cdf,
                            exact_spectral_cdf, rademacher_probe)
+
+
+def _raw_to_cdf(values):
+    values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+    values[-1] = 1.0
+    return values
+
+
+def _spectral_cdf_per_grid_point(lap, n_probes=10, kpm_degree=30,
+                                 n_grid=50, seed=0):
+    # reference: one scalar step expansion and one dot product per z
+    half = lap.lambda_max_bound / 2.0
+    moments = sum(_kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
+                                        kpm_degree + 1, half, half,
+                                        rademacher_probe(lap.n, seed, t))
+                  for t in range(n_probes)) / n_probes
+    damp = jackson_coefficients(kpm_degree)
+    grid = np.linspace(0.0, lap.lambda_max_bound, n_grid)
+    values = np.array([
+        (_step_coefficients(z, lap.lambda_max_bound, kpm_degree) * damp)
+        @ moments / lap.n for z in grid])
+    return _raw_to_cdf(values)
+
+
+def _energy_cdf_per_grid_point(lap, signals, mode, eig=None, n_grid=50,
+                               kpm_degree=30):
+    # reference: filter every signal with the step approximant of every z
+    # (stochastic) or sum its Fourier energies below every z (exact)
+    lam_bar = lap.lambda_max_bound
+    half = lam_bar / 2.0
+    grid = np.linspace(0.0, lam_bar, n_grid)
+    dc = _dc_direction(lap)
+    damp = jackson_coefficients(kpm_degree)
+    num = np.zeros(n_grid)
+    den = 0.0
+    for yt in np.atleast_2d(signals):
+        yc = (yt - dc * (dc @ yt)) / np.linalg.norm(yt)
+        den += yc @ yc
+        if mode == "exact":
+            co = eig.fourier(yc) ** 2
+            lower = np.searchsorted(eig.values, 1e-12 * lam_bar, side="left")
+            for i, z in enumerate(grid):
+                hi = np.searchsorted(eig.values, z, side="right")
+                num[i] += np.sum(co[lower:hi])
+        else:
+            for i, z in enumerate(grid):
+                c = _step_coefficients(z, lam_bar, kpm_degree) * damp
+                fz = _kernels.cheb_apply(lap.indptr, lap.indices, lap.data,
+                                         c, half, half, yc)
+                num[i] += fz @ fz
+    return _raw_to_cdf(num / den)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +147,15 @@ def test_step_coefficients_match_quadrature():
             assert abs(c[k] - quad) < 2e-4
 
 
+def test_step_coefficients_rows_match_scalar_thresholds():
+    zs = np.array([[0.0, 0.7], [1.5, 3.0]])
+    rows = _step_coefficients(zs, 3.0, 12)
+    assert rows.shape == (2, 2, 13)
+    for idx in np.ndindex(zs.shape):
+        assert np.array_equal(rows[idx], _step_coefficients(zs[idx], 3.0, 12))
+    assert _step_coefficients(1.0, 3.0, 12).shape == (13,)
+
+
 def test_rademacher_probe_reproducible():
     a = rademacher_probe(500, seed=3, index=7)
     b = rademacher_probe(500, seed=3, index=7)
@@ -129,6 +191,17 @@ def test_estimate_is_valid_cdf():
     vals = est(np.linspace(0, 2, 200))
     assert np.all((vals >= 0) & (vals <= 1))
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+def test_spectral_cdf_matches_per_grid_point_products(kind):
+    lap = build_laplacian(sensor_graph(120, seed=4), kind=kind)
+    for seed, degree, n_grid in ((0, 30, 50), (3, 7, 11)):
+        est = estimate_spectral_cdf(lap, kpm_degree=degree, n_grid=n_grid,
+                                    seed=seed)
+        ref = _spectral_cdf_per_grid_point(lap, kpm_degree=degree,
+                                           n_grid=n_grid, seed=seed)
+        assert np.abs(est.values - ref).max() <= 1e-14
 
 
 def test_estimate_argument_guards():
@@ -175,6 +248,59 @@ def test_energy_cdf_stochastic_close_to_exact():
     qs = estimate_energy_cdf(lap, sigs, mode="stochastic", kpm_degree=60)
     zs = np.linspace(0, lap.lambda_max_bound, 300)
     assert np.abs(qe(zs) - qs(zs)).max() <= 0.05
+
+
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+def test_energy_cdf_matches_per_grid_point_filtering(kind):
+    g = sensor_graph(150, seed=6)
+    lap = build_laplacian(g, kind=kind)
+    eig = eigendecompose(lap)
+    rng = np.random.default_rng(2)
+    sigs = np.vstack([rng.standard_normal((2, g.n)),
+                      piecewise_smooth_signal(g, seed=1, eig=eig)])
+    for degree, n_grid in ((30, 50), (60, 37), (5, 2)):
+        qs = estimate_energy_cdf(lap, sigs, n_grid=n_grid,
+                                 kpm_degree=degree)
+        ref = _energy_cdf_per_grid_point(lap, sigs, "stochastic",
+                                         n_grid=n_grid, kpm_degree=degree)
+        assert np.abs(qs.values - ref).max() <= 1e-12
+    for n_grid in (50, 301):
+        qe = estimate_energy_cdf(lap, sigs, mode="exact", eig=eig,
+                                 n_grid=n_grid)
+        ref = _energy_cdf_per_grid_point(lap, sigs, "exact", eig=eig,
+                                         n_grid=n_grid)
+        assert np.abs(qe.values - ref).max() <= 1e-12
+
+
+def test_energy_cdf_costs_2k_columns_per_signal(monkeypatch):
+    # moments up to T_2K cost 2K sparse products per signal, whatever the
+    # grid; filtering per grid point would cost n_grid * K
+    g = sensor_graph(80, seed=4)
+    lap = build_laplacian(g, kind="combinatorial")
+    sigs = np.random.default_rng(0).standard_normal((3, g.n))
+    columns = []
+    operator = _kernels._operator
+
+    class Counting:
+        def __init__(self, a):
+            self.a = a
+
+        def __matmul__(self, x):
+            columns.append(1 if x.ndim == 1 else x.shape[1])
+            return self.a @ x
+
+    monkeypatch.setattr(_kernels, "_operator",
+                        lambda *csr: Counting(operator(*csr)))
+    estimate_energy_cdf(lap, sigs, n_grid=50, kpm_degree=30)
+    assert sum(columns) == 2 * 30 * 3
+
+
+def test_energy_cdf_checks_mode_before_signals():
+    lap = build_laplacian(path_graph(5), kind="combinatorial")
+    with pytest.raises(ValueError, match="mode"):
+        estimate_energy_cdf(lap, np.zeros(5), mode="bogus")
+    with pytest.raises(ValueError, match="eigendecomposition"):
+        estimate_energy_cdf(lap, np.zeros(5), mode="exact")
 
 
 def test_energy_cdf_rejects_degenerate_signals():
