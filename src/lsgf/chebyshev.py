@@ -11,7 +11,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from . import _kernels
-from .graphs import as_signal
+from .graphs import as_block, as_signal
 
 
 def jackson_coefficients(degree):
@@ -109,10 +109,14 @@ def _bank_rows(approxes, lap):
 
 def apply_poly_bank(approxes, lap, f):
     """Apply several approximants sharing one recurrence; rows match
-    apply_poly_filter per band bit-for-bit."""
-    f = as_signal(lap.n, f)
+    apply_poly_filter per band bit-for-bit.
+
+    f is a signal or an (N, B) block of column signals; the output has shape
+    (J,) + f.shape and its column b equals the call on f[:, b] alone.
+    """
+    f = as_block(lap.n, f)
     if not approxes:
-        return np.zeros((0, lap.n))
+        return np.zeros((0,) + f.shape)
     rows, half = _bank_rows(approxes, lap)
     return _kernels.cheb_apply_stack(lap.indptr, lap.indices, lap.data, rows,
                                      half, half, f)

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .chebyshev import (apply_poly_bank, apply_poly_bank_adjoint,
                         apply_poly_filter, chebyshev_fit)
-from .graphs import as_signal
+from .graphs import as_block, as_signal
 
 
 @dataclass
@@ -155,9 +156,15 @@ class Dictionary:
         return fn(lam)
 
     def filter_all(self, f):
-        """(J, N) matrix of g_j(L) f for every band."""
-        f = as_signal(self.lap.n, f)
+        """(J, N) matrix of g_j(L) f for every band.
+
+        f may also be an (N, B) block of column signals; the result is then
+        (J, N, B), and column b equals the call on f[:, b] alone.
+        """
+        f = as_block(self.lap.n, f)
         if self.mode == "exact":
+            if f.ndim == 2:
+                return np.stack([self.filter_all(c) for c in f.T], axis=-1)
             fhat = self.eig.fourier(f)
             return self.eig.inverse_fourier((self._diag * fhat).T).T
         return apply_poly_bank(self.approx, self.lap, f)
@@ -367,12 +374,15 @@ def atom_norm_estimate(d, n_probes=50, seed=0):
         raise ValueError("need at least two probes for a standard deviation")
     mean = np.zeros((d.n_bands, d.lap.n))
     m2 = np.zeros_like(mean)
-    for t in range(n_probes):
-        rng = np.random.default_rng([seed, t])
-        sample = d.filter_all(rng.standard_normal(d.lap.n))
-        delta = sample - mean
-        mean += delta / (t + 1)
-        m2 += delta * (sample - mean)
+    for ts in _kernels.probe_blocks(n_probes):
+        samples = d.filter_all(np.column_stack(
+            [np.random.default_rng([seed, t]).standard_normal(d.lap.n)
+             for t in ts]))
+        for b, t in enumerate(ts):
+            sample = samples[..., b]
+            delta = sample - mean
+            mean += delta / (t + 1)
+            m2 += delta * (sample - mean)
     return [np.sqrt(m2[j][d.centers[j]] / (n_probes - 1))
             for j in range(d.n_bands)]
 

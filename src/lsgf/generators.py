@@ -50,6 +50,10 @@ def erdos_renyi_graph(n, p, seed=0):
     at a time from one stream: O(n) memory besides the edges, and the same
     graph as drawing the whole triangle at once.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for r0 in range(0, n, _ER_ROWS):
@@ -69,8 +73,13 @@ def sensor_graph(n, k=6, seed=0):
     The k-nearest-neighbor graph is symmetrized; edge weights are
     exp(-d^2 / (2 theta^2)) with theta the mean neighbor distance.  If the
     k-NN graph is disconnected, closest pairs across components are bridged
-    so the result is always connected.
+    so the result is always connected.  Needs 1 <= k < n.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 1 <= k < n:
+        raise ValueError(f"sensor graphs need 1 <= k < n neighbors, got "
+                         f"k={k} for n={n}")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     tree = scipy.spatial.cKDTree(pts)
@@ -182,23 +191,3 @@ def piecewise_smooth_signal(graph, n_parts=4, n_modes=3, seed=0, eig=None):
         coeff = rng.normal(0.0, 0.35, n_modes) / np.arange(1, n_modes + 1)
         f[mask] += modes[mask] @ coeff
     return f
-
-
-def bandpass_localized_signal(eig, band, centers, seed=0):
-    """Band-limited signal concentrated around the given center vertices.
-
-    Projects a few deltas (with random signs/amplitudes) onto the span of
-    the eigenvectors indexed by band, then normalizes to unit norm.
-    """
-    rng = np.random.default_rng(seed)
-    centers = np.atleast_1d(np.asarray(centers, dtype=np.int64))
-    u = eig.vectors[:, np.asarray(band, dtype=np.int64)]
-    mix = np.zeros(eig.n)
-    amps = rng.normal(1.0, 0.25, centers.size) * rng.choice(
-        [-1.0, 1.0], centers.size)
-    mix[centers] = amps
-    f = u @ (u.T @ mix)
-    nrm = np.linalg.norm(f)
-    if nrm == 0:
-        raise ValueError("band projection of the seed deltas is zero")
-    return f / nrm

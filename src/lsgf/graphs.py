@@ -22,6 +22,20 @@ def as_signal(n, values):
     f = np.asarray(values, dtype=np.float64)
     if f.shape != (n,):
         raise ValueError(f"signal has shape {f.shape}, expected ({n},)")
+    return _finite(f)
+
+
+def as_block(n, values):
+    """Validate a signal of shape (n,) or a block of column signals of shape
+    (n, B), with finite entries."""
+    f = np.asarray(values, dtype=np.float64)
+    if f.ndim not in (1, 2) or f.shape[0] != n:
+        raise ValueError(f"block has shape {f.shape}, expected ({n},) or "
+                         f"({n}, B)")
+    return _finite(f)
+
+
+def _finite(f):
     if not np.all(np.isfinite(f)):
         raise ValueError("signal contains non-finite entries")
     return f
@@ -172,10 +186,9 @@ def build_laplacian(graph, kind="combinatorial"):
         bound = 2.0
     lap = scipy.sparse.csr_matrix(lap)
     lap.sort_indices()
-    return Laplacian(kind=kind, n=graph.n,
-                     indptr=lap.indptr.astype(np.int64),
-                     indices=lap.indices.astype(np.int64),
-                     data=lap.data.astype(np.float64),
+    # scipy's own index dtype, so the kernels' operators share these arrays
+    return Laplacian(kind=kind, n=graph.n, indptr=lap.indptr,
+                     indices=lap.indices, data=lap.data.astype(np.float64),
                      lambda_max_bound=bound, graph=graph)
 
 

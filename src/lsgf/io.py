@@ -163,7 +163,7 @@ def load_centers_csv(path, n_bands=None):
             if not line:
                 continue
             parts = line.split(",")
-            if ln == 0 and not parts[0].strip().isdigit():
+            if ln == 0 and not parts[0].strip().lstrip("-").isdigit():
                 continue
             if len(parts) != 3:
                 raise ValueError(f"line {ln + 1}: expected band,vertex,weight")
@@ -174,7 +174,7 @@ def load_centers_csv(path, n_bands=None):
     sets = [[] for _ in range(nb)]
     wts = [[] for _ in range(nb)]
     for band, vertex, weight in rows:
-        if band >= nb:
+        if not 0 <= band < nb:
             raise ValueError(f"band {band} out of range")
         sets[band].append(vertex)
         wts[band].append(weight)

@@ -48,9 +48,12 @@ def nonuniform_weights(d, n_probes=10, seed=0):
     if d.mode != "poly":
         raise ValueError("sampling weights are estimated in polynomial mode")
     acc = np.zeros((d.n_bands, d.lap.n))
-    for t in range(n_probes):
-        eta = rademacher_probe(d.lap.n, seed, t)
-        acc += d.filter_all(eta) ** 2
+    for ts in _kernels.probe_blocks(n_probes):
+        samples = d.filter_all(np.column_stack(
+            [rademacher_probe(d.lap.n, seed, t) for t in ts]))
+        samples **= 2
+        for b in range(len(ts)):
+            acc += samples[..., b]
     acc /= n_probes
     sums = acc.sum(axis=1, keepdims=True)
     if np.any(sums <= 0):

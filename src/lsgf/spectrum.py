@@ -150,6 +150,14 @@ def rademacher_probe(n, seed, index):
     return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
 
 
+def _probe_moments(lap, n_moments, block):
+    """Rows of Chebyshev moments x' T_k(S) x, k < n_moments, one row per
+    column x of an (N, B) block; S maps [0, lambda_bar] onto [-1, 1]."""
+    half = lap.lambda_max_bound / 2.0
+    return _kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
+                                 n_moments, half, half, block).T
+
+
 def estimate_spectral_cdf(lap, n_probes=10, kpm_degree=30, n_grid=50,
                           seed=0):
     """Stochastic spectral CDF on n_grid points spanning [0, lambda_bar].
@@ -164,11 +172,10 @@ def estimate_spectral_cdf(lap, n_probes=10, kpm_degree=30, n_grid=50,
     if n_probes < 1 or kpm_degree < 1 or n_grid < 2:
         raise ValueError("n_probes, kpm_degree >= 1 and n_grid >= 2 required")
     lam_bar = lap.lambda_max_bound
-    half = lam_bar / 2.0
-    moments = sum(_kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
-                                        kpm_degree + 1, half, half,
-                                        rademacher_probe(lap.n, seed, t))
-                  for t in range(n_probes)) / n_probes
+    moments = sum(m for ts in _kernels.probe_blocks(n_probes)
+                  for m in _probe_moments(lap, kpm_degree + 1, np.column_stack(
+                      [rademacher_probe(lap.n, seed, t) for t in ts])))
+    moments /= n_probes
     grid = np.linspace(0.0, lam_bar, n_grid)
     steps = (_step_coefficients(grid, lam_bar, kpm_degree)
              * jackson_coefficients(kpm_degree))
@@ -207,7 +214,6 @@ def estimate_energy_cdf(lap, signals, mode="stochastic", eig=None, n_grid=50,
     if y.shape[1] != lap.n:
         raise ValueError("training signals must have one column per vertex")
     lam_bar = lap.lambda_max_bound
-    half = lam_bar / 2.0
     grid = np.linspace(0.0, lam_bar, n_grid)
     dc = _dc_direction(lap)
     rows = np.empty_like(y)
@@ -227,9 +233,9 @@ def estimate_energy_cdf(lap, signals, mode="stochastic", eig=None, n_grid=50,
                         lower)
         cum = np.cumsum(np.r_[0.0, np.sum(eig.fourier(rows.T) ** 2, axis=1)])
         return _monotone_cdf(grid, (cum[hi] - cum[lower]) / den)
-    mu = sum(_kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
-                                   2 * kpm_degree + 1, half, half, r)
-             for r in rows)
+    mu = sum(m for ts in _kernels.probe_blocks(len(rows))
+             for m in _probe_moments(lap, 2 * kpm_degree + 1,
+                                     rows[ts.start:ts.stop].T))
     # T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 gives ||p(S) y||^2 = c' H c
     k = np.arange(kpm_degree + 1)
     gram = (mu[k[:, None] + k] + mu[np.abs(k[:, None] - k)]) / 2.0

@@ -283,13 +283,39 @@ def test_truncated_coefficient_file_exits_2(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_input_exits_2(workspace, capsys):
+    tmp, g, f = workspace
+    cen = tmp / "cen.csv"
+    cen.write_text("band,vertex,weight\n0,1,0.5\n-1,2,1.0\n")
+    bank = ["--design", "itersine", "--n-bands", "3"]
+    bad = [
+        ["transform", "--graph", str(g), "--signal", str(f), "--centers",
+         str(cen), "--out", str(tmp / "c.lsgc"), *bank],
+        ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "2"],
+        ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "-1"],
+        ["generate", "--kind", "erdos-renyi", "--n", "0"],
+        ["generate", "--kind", "sensor", "--n", "0"],
+        ["generate", "--kind", "sensor", "--n", "6", "--k", "6"],
+        ["generate", "--kind", "sensor", "--n", "50", "--k", "0"],
+    ]
+    capsys.readouterr()
+    for argv in bad:
+        if argv[0] == "generate":
+            argv = argv + ["--out", str(tmp / "bad.csv")]
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp / "bad.csv").exists()
+
+
 def test_cli_import_leaves_interpolation_unloaded():
-    # most commands build no CDF, so the CLI must not pay for loading
-    # scipy.interpolate at start-up
+    # most commands build no CDF and run no probe block, so the CLI must not
+    # pay for loading scipy.interpolate or the kernels' thread pool at
+    # start-up (scipy.sparse itself loads the concurrent.futures package)
     src = str(Path(lsgf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, lsgf.cli; print('scipy.interpolate' in sys.modules)"
+    code = ("import sys, lsgf.cli; print([m for m in ('scipy.interpolate',"
+            " 'concurrent.futures.thread') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -134,6 +134,11 @@ def test_centers_rejects_malformed(tmp_path):
     p.write_text("band,vertex,weight\n")
     with pytest.raises(ValueError, match="empty"):
         load_centers_csv(p)
+    # a negative band id must not index bands from the end
+    for text in ("band,vertex,weight\n0,1,0.5\n-1,2,1.0\n", "-1,2,1.0\n"):
+        p.write_text(text)
+        with pytest.raises(ValueError, match="band -1 out of range"):
+            load_centers_csv(p)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,10 @@
 """Kernel-level checks: CSR products and the Chebyshev recurrences."""
 
+import os
+import signal
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +12,12 @@ from hypothesis import strategies as st
 
 from lsgf import _kernels
 from lsgf.chebyshev import ChebyshevApprox, apply_poly_bank_adjoint
-from lsgf.generators import erdos_renyi_graph, path_graph
-from lsgf.graphs import build_laplacian
+from lsgf.filters import make_sgwt
+from lsgf.frames import atom_norm_estimate, dictionary_exact, dictionary_poly
+from lsgf.generators import erdos_renyi_graph, path_graph, sensor_graph
+from lsgf.graphs import build_laplacian, eigendecompose
+from lsgf.sampling import nonuniform_weights
+from lsgf.spectrum import estimate_energy_cdf, estimate_spectral_cdf
 
 
 def _csr(lap):
@@ -99,3 +108,109 @@ def test_clenshaw_adjoint_matches_per_band_recurrences(lap, seed, n_bands,
     want = sum(_kernels.cheb_apply(*_csr(lap), coeff_rows[j], half, half,
                                    u[j]) for j in range(n_bands))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_operator_shares_laplacian_index_arrays(lap):
+    # building the operator for a kernel call copies none of the CSR arrays
+    a = _kernels._operator(*_csr(lap))
+    for mine, theirs in zip((a.indptr, a.indices, a.data), _csr(lap)):
+        assert np.shares_memory(mine, theirs)
+
+
+def _per_column(fn, x):
+    return np.stack([fn(np.ascontiguousarray(x[:, b]))
+                     for b in range(x.shape[1])], axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 7),
+       workers=st.sampled_from([1, 2, 3]), degree=st.integers(0, 25),
+       threaded_rows=st.sampled_from([0, 10**9]))
+def test_blocks_match_per_column_calls(lap, seed, n_cols, workers, degree,
+                                       threaded_rows):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((lap.n, n_cols))
+    rows = rng.standard_normal((3, degree + 1))
+    half = lap.lambda_max_bound / 2.0
+    calls = [
+        lambda v: _kernels.cheb_apply(*_csr(lap), rows[0], half, half, v),
+        lambda v: _kernels.cheb_apply_stack(*_csr(lap), rows, half, half, v),
+        lambda v: _kernels.cheb_moments(*_csr(lap), degree + 1, half, half,
+                                        v)]
+    with mock.patch.object(_kernels, "n_workers", return_value=workers), \
+            mock.patch.object(_kernels, "_THREADED_MIN_ROWS", threaded_rows):
+        got = [call(x) for call in calls]
+    for call, block in zip(calls, got):
+        want = _per_column(call, x)
+        assert block.shape == want.shape
+        if n_cols <= workers:
+            # every column group is one column and runs the (N,) path
+            assert np.array_equal(block, want)
+        else:
+            scale = np.abs(want).max(axis=tuple(range(want.ndim - 1)))
+            assert np.all(np.abs(block - want) <= 1e-12 * (scale + 1.0))
+
+
+def test_probe_estimators_do_not_depend_on_worker_count():
+    # each probe keeps its own single-column recurrence and the reductions
+    # keep probe order, whatever the block width W
+    g = sensor_graph(120, seed=1)
+    lap = build_laplacian(g)
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    dp = dictionary_poly(lap, bank, 20)
+    de = dictionary_exact(lap, bank, eigendecompose(lap))
+    signals = np.random.default_rng(0).standard_normal((3, lap.n))
+
+    def estimates():
+        return [*atom_norm_estimate(dp, n_probes=5),
+                *atom_norm_estimate(de, n_probes=5),
+                nonuniform_weights(dp, n_probes=5),
+                estimate_spectral_cdf(lap, n_probes=5).values,
+                estimate_energy_cdf(lap, signals).values]
+
+    runs = []
+    with mock.patch.object(_kernels, "_THREADED_MIN_ROWS", 0):
+        for workers in (1, 2, 3):
+            with mock.patch.object(_kernels, "n_workers",
+                                   return_value=workers):
+                runs.append(estimates())
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_block_calls(lap):
+    # the child inherits the parent's pool object but none of its threads;
+    # without a reset at fork its block calls would wait forever
+    x = np.random.default_rng(5).standard_normal((lap.n, 4))
+    coeffs = np.arange(1.0, 9.0)
+    half = lap.lambda_max_bound / 2.0
+    with mock.patch.object(_kernels, "n_workers", return_value=2), \
+            mock.patch.object(_kernels, "_THREADED_MIN_ROWS", 0):
+        want = _kernels.cheb_apply(*_csr(lap), coeffs, half, half, x)
+        # start every pool thread and let it go idle: the child then
+        # inherits a pool that counts idle threads it does not have
+        pool = _kernels._executor()
+        for f in [pool.submit(time.sleep, 0.05) for _ in range(4)]:
+            f.result()
+        time.sleep(0.1)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = _kernels.cheb_apply(*_csr(lap), coeffs, half, half, x)
+                code = 0 if np.array_equal(got, want) else 3
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's block call did not return")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status) == 0
