@@ -314,11 +314,15 @@ def _pipeline_dictionary(args, lap):
 
 
 def _solver_report(info):
-    """JSON form of CG convergence info; None for the non-CG inverses."""
+    """JSON form of CG convergence info; None for the non-CG inverses.
+
+    precond_degree and precond_eps are null for plain CG."""
     if info is None:
         return None
     return {"converged": bool(info.converged), "n_iter": int(info.n_iter),
-            "residual": float(info.residual)}
+            "residual": float(info.residual),
+            "precond_degree": info.precond_degree,
+            "precond_eps": info.precond_eps}
 
 
 def cmd_denoise(args):
@@ -367,15 +371,18 @@ def cmd_compress(args):
         recon = result.reconstruction
     else:
         recon = None
-        for t0 in budgets:
-            fhat, _, info = tasks.compress_hard_threshold(d, f, t0)
+        curve = tasks._hard_threshold_curve(d, f, budgets)
+        for t0, (fhat, _, info) in zip(budgets, curve):
             rows.append((t0, tasks.metrics(f, fhat).nmse))
             infos.append(info)
             recon = fhat
-    # the worst case over the curve's CG solves, one per budget
+    # the worst case over the curve's CG solves, one per budget; they share
+    # one dictionary and one tolerance, hence one preconditioner
     solver = None if not infos else InverseInfo(
         all(i.converged for i in infos), max(i.n_iter for i in infos),
-        max(i.residual for i in infos))
+        max(i.residual for i in infos),
+        precond_degree=infos[0].precond_degree,
+        precond_eps=infos[0].precond_eps)
     out = {"method": args.method,
            "curve": [{"n_terms": t, "nmse": v} for t, v in rows],
            "solver": _solver_report(solver)}

@@ -16,10 +16,12 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebadd, chebmul
 
 from . import _kernels
-from .chebyshev import (apply_poly_bank, apply_poly_bank_adjoint,
-                        apply_poly_filter, chebyshev_fit)
+from .chebyshev import (ChebyshevApprox, apply_poly_bank,
+                        apply_poly_bank_adjoint, apply_poly_filter,
+                        chebyshev_fit)
 from .graphs import as_block, as_signal
 
 
@@ -67,9 +69,14 @@ class FrameBounds:
 
 @dataclass
 class InverseInfo:
+    """CG outcome; precond_* describe the polynomial preconditioner r(L)
+    (its degree D and certificate eps), None for plain CG."""
+
     converged: bool
     n_iter: int
     residual: float
+    precond_degree: int | None = None
+    precond_eps: float | None = None
 
 
 def _check_centers(n, n_bands, centers):
@@ -82,9 +89,10 @@ def _check_centers(n, n_bands, centers):
             raise ValueError(f"band {j}: center set must be 1-D")
         if c.size and (c.min() < 0 or c.max() >= n):
             raise ValueError(f"band {j}: center out of range")
-        if np.unique(c).size != c.size:
+        c = np.sort(c)
+        if np.any(c[1:] == c[:-1]):
             raise ValueError(f"band {j}: duplicate centers")
-        out.append(np.sort(c))
+        out.append(c)
     return out
 
 
@@ -109,6 +117,7 @@ class Dictionary:
         if mode == "exact":
             self._diag = np.vstack([np.atleast_1d(g(eig.values))
                                     for g in bank.kernels])
+        self._duals = {}
         self.token = self._fingerprint()
 
     @property
@@ -149,6 +158,43 @@ class Dictionary:
         for c in self.centers:
             h.update(c.tobytes())
         return h.hexdigest()
+
+    def frame_symbol(self):
+        """q = sum_j p_j^2 as one Chebyshev series of degree 2K (poly mode).
+
+        With complete centers the frame operator Phi Phi* is q(L); the
+        coefficients come from product linearization of the approximants.
+        """
+        if self.mode != "poly":
+            raise ValueError("the frame symbol series needs poly mode")
+        q = np.zeros(1)
+        for p in self.approx:
+            q = chebadd(q, chebmul(p.coeffs, p.coeffs))
+        lb = self.approx[0].lambda_bar
+        return ChebyshevApprox(degree=q.size - 1, coeffs=q, lambda_bar=lb)
+
+    def dual(self, degree):
+        """(r, eps): a degree-D fit r of 1/q on [0, lambda_bar] (poly mode).
+
+        eps is the l1 norm of the Chebyshev coefficients of q r - 1, which
+        bounds sup |q r - 1| over the interval since |T_k| <= 1 there.  q is
+        floored at machine epsilon times its own l1 norm before the
+        reciprocal is fitted, so a q that vanishes on part of the interval
+        gives eps >= 1 rather than an overflow.  Built on first request and
+        cached per degree.
+        """
+        if degree not in self._duals:
+            q = self.frame_symbol()
+            floor = np.finfo(np.float64).eps * float(np.abs(q.coeffs).sum())
+            if floor == 0.0:
+                self._duals[degree] = (None, np.inf)
+            else:
+                r = chebyshev_fit(lambda lam: 1.0 / np.maximum(q(lam), floor),
+                                  degree, q.lambda_bar)
+                err = chebmul(q.coeffs, r.coeffs)
+                err[0] -= 1.0
+                self._duals[degree] = (r, float(np.abs(err).sum()))
+        return self._duals[degree]
 
     def kernel_values(self, j, lam):
         """Band j's transfer function: exact kernel or its approximant."""
@@ -306,17 +352,18 @@ def inverse_frame_iteration(d, c, bounds, n_iter):
 def solve_cg(op, b, tol, max_iter, precond=None):
     """Conjugate gradients for a symmetric positive semidefinite operator.
 
-    precond, if given, is the diagonal of a preconditioner.  Stops at a
-    relative residual of tol, after max_iter iterations, or on vanishing
-    curvature, and returns the iterate with the smallest relative residual
-    together with convergence info.
+    precond, if given, maps a residual to the preconditioned residual
+    M^-1 r, M symmetric positive definite.  Stops at a relative residual
+    ||b - op(x)|| / ||b|| of tol (unpreconditioned), after max_iter
+    iterations, or on vanishing curvature, and returns the iterate with the
+    smallest relative residual together with convergence info.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return np.zeros_like(b), InverseInfo(True, 0, 0.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = r if precond is None else r / precond
+    z = r if precond is None else precond(r)
     p = z.copy()
     rz = float(r @ z)
     best_x, best_res = x.copy(), np.linalg.norm(r) / bnorm
@@ -334,11 +381,26 @@ def solve_cg(op, b, tol, max_iter, precond=None):
             best_res, best_x = rel, x.copy()
         if rel <= tol:
             return best_x, InverseInfo(True, it, best_res)
-        z = r if precond is None else r / precond
+        z = r if precond is None else precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return best_x, InverseInfo(False, it, best_res)
+
+
+def _preconditioner(d, tol):
+    """(r, eps) of the dual that preconditions inverse_cg, or None.
+
+    r(L) is positive definite, as CG needs, only when eps < 1.
+    """
+    if d.mode != "poly" or not d.is_complete():
+        return None
+    k = max(p.degree for p in d.approx)
+    for m in range(2, 9):
+        r, eps = d.dual(m * k)
+        if eps <= tol:
+            break
+    return (r, eps) if eps < 1.0 else None
 
 
 def inverse_cg(d, c, tol=1e-10, max_iter=1000):
@@ -348,9 +410,24 @@ def inverse_cg(d, c, tol=1e-10, max_iter=1000):
     convergence info.  With coefficients produced by analysis the right-hand
     side lies in the frame operator's range, so rank deficiency (bands that
     vanish on part of the spectrum) leaves the unreachable component at zero.
+
+    In poly mode with complete centers Phi Phi* = q(L), and CG is
+    preconditioned with r(L), r the degree-D dual of q (Dictionary.dual):
+    D is the smallest multiple of the approximants' degree K in [2K, 8K]
+    whose certificate eps is at most tol, else 8K.  Since |q r - 1| <= eps
+    on the spectrum, one iteration usually reaches tol.  Exact mode, center
+    subsets and duals with eps >= 1 (q vanishing on part of the interval)
+    run plain CG.  The stopping test is the same in every case.
     """
-    return solve_cg(lambda p: synthesis(d, analysis(d, p)), synthesis(d, c),
-                    tol, max_iter)
+    rhs = synthesis(d, c)
+    dual = _preconditioner(d, tol)
+    precond = None if dual is None \
+        else (lambda v: apply_poly_filter(dual[0], d.lap, v))
+    f, info = solve_cg(lambda p: synthesis(d, analysis(d, p)), rhs, tol,
+                       max_iter, precond=precond)
+    if dual is not None:
+        info.precond_degree, info.precond_eps = dual[0].degree, dual[1]
+    return f, info
 
 
 def atom_norms_exact(d):

@@ -7,7 +7,6 @@ numpy Generator, so artifacts are reproducible across runs and machines.
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.spatial
 
 from .graphs import SparseGraph, build_laplacian, eigendecompose
 
@@ -16,6 +15,8 @@ _ER_ROWS = 64  # rows of the upper triangle drawn per erdos_renyi_graph block
 
 def path_graph(n):
     """Path on n vertices with unit weights."""
+    if n < 1:
+        raise ValueError(f"a path needs n >= 1 vertices, got {n}")
     src = np.arange(n - 1)
     return SparseGraph.from_edges(n, src, src + 1, np.ones(n - 1),
                                   coords=np.column_stack(
@@ -24,6 +25,8 @@ def path_graph(n):
 
 def cycle_graph(n):
     """Cycle on n vertices with unit weights."""
+    if n < 3:
+        raise ValueError(f"a cycle needs n >= 3 vertices, got {n}")
     src = np.arange(n)
     dst = (src + 1) % n
     t = 2 * np.pi * np.arange(n) / n
@@ -34,6 +37,8 @@ def cycle_graph(n):
 
 def grid_graph(rows, cols):
     """rows x cols lattice with unit weights."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"a grid needs rows, cols >= 1, got {rows} x {cols}")
     idx = np.arange(rows * cols).reshape(rows, cols)
     src = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
     dst = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
@@ -80,6 +85,7 @@ def sensor_graph(n, k=6, seed=0):
     if not 1 <= k < n:
         raise ValueError(f"sensor graphs need 1 <= k < n neighbors, got "
                          f"k={k} for n={n}")
+    import scipy.spatial  # here, so that starting the CLI does not load it
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     tree = scipy.spatial.cKDTree(pts)
@@ -116,6 +122,7 @@ def sensor_graph(n, k=6, seed=0):
 
 def _closest_outside(pts, inside):
     """(distance, i, j) of the closest pair with i inside and j outside."""
+    import scipy.spatial
     ia, ib = np.flatnonzero(inside), np.flatnonzero(~inside)
     d, b = scipy.spatial.cKDTree(pts[ib]).query(pts[ia])
     a = int(np.argmin(d))

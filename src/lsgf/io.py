@@ -9,7 +9,6 @@ little-endian binary layout; a CSV export exists for interoperability.
 import struct
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from .frames import Coefficients
@@ -26,11 +25,13 @@ COEFF_VERSION = 1
 # ---------------------------------------------------------------------------
 
 def save_graph_mm(path, graph):
+    import scipy.io  # here, so that starting the CLI does not load it
     scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(graph.to_scipy()),
                      symmetry="symmetric")
 
 
 def load_graph_mm(path):
+    import scipy.io
     mat = scipy.sparse.coo_matrix(scipy.io.mmread(str(path)))
     upper = mat.row < mat.col
     diag = mat.row == mat.col
@@ -163,11 +164,17 @@ def load_centers_csv(path, n_bands=None):
             if not line:
                 continue
             parts = line.split(",")
-            if ln == 0 and not parts[0].strip().lstrip("-").isdigit():
+            # only a first line without a single number is a header
+            if ln == 0 and not any(_is_number(p) for p in parts):
                 continue
             if len(parts) != 3:
                 raise ValueError(f"line {ln + 1}: expected band,vertex,weight")
-            rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            try:
+                rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ValueError(f"line {ln + 1}: expected integer band and "
+                                 f"vertex ids and a weight: {line!r}") \
+                    from None
     if not rows:
         raise ValueError("center file is empty")
     nb = (max(r[0] for r in rows) + 1) if n_bands is None else n_bands

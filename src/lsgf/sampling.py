@@ -232,12 +232,12 @@ def band_reconstruct(lap, vertices, omega, alpha, phi, kappa=1e4, tol=1e-8,
 
     # scalar spectral average of phi stands in for diag(phi(L))
     phi_bar = float(np.mean(phi(np.linspace(0.0, phi.lambda_bar, 512))))
-    precond = data_diag + max(phi_bar, 1e-12)
+    diag = data_diag + max(phi_bar, 1e-12)
 
     def op(x):
         return data_diag * x + apply_poly_filter(phi, lap, x)
 
-    return solve_cg(op, rhs, tol, max_iter, precond=precond)
+    return solve_cg(op, rhs, tol, max_iter, precond=lambda r: r / diag)
 
 
 def uniqueness_partition(eig, bank, tol=1e-8):

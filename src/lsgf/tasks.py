@@ -263,6 +263,12 @@ def compress_hard_threshold(d, f, n_terms, cfg=None):
     Selection scores are |alpha| over the atom norm; ties resolve to the
     lexicographically first (band, center position).
     """
+    return _hard_threshold_curve(d, f, [n_terms], cfg)[0]
+
+
+def _hard_threshold_curve(d, f, budgets, cfg=None):
+    """compress_hard_threshold at every budget, sharing one analysis and one
+    set of atom norms; returns one (fhat, kept, info) per budget."""
     if cfg is None:
         cfg = DenoiseConfig(sigma=1.0)
     coeffs = analysis(d, f)
@@ -276,18 +282,21 @@ def compress_hard_threshold(d, f, n_terms, cfg=None):
         parts.append(np.where(ok, np.abs(coeffs.bands[j])
                               / np.where(ok, nj, 1.0), 0.0))
     flat_scores = np.concatenate(parts)
-    if not 1 <= n_terms <= flat_scores.size:
+    if not all(1 <= n_terms <= flat_scores.size for n_terms in budgets):
         raise ValueError("n_terms must be between 1 and the atom count")
     order = np.lexsort((np.arange(flat_scores.size), -flat_scores))
-    keep = np.zeros(flat_scores.size, dtype=bool)
-    keep[order[:n_terms]] = True
-    bands = []
-    offset = 0
-    for j in range(d.n_bands):
-        size = coeffs.bands[j].size
-        mask = keep[offset:offset + size]
-        bands.append(np.where(mask, coeffs.bands[j], 0.0))
-        offset += size
-    kept = coeffs.copy_with(bands)
-    fhat, info = _reconstruct(d, kept, cfg)
-    return fhat, kept, info
+    out = []
+    for n_terms in budgets:
+        keep = np.zeros(flat_scores.size, dtype=bool)
+        keep[order[:n_terms]] = True
+        bands = []
+        offset = 0
+        for j in range(d.n_bands):
+            size = coeffs.bands[j].size
+            mask = keep[offset:offset + size]
+            bands.append(np.where(mask, coeffs.bands[j], 0.0))
+            offset += size
+        kept = coeffs.copy_with(bands)
+        fhat, info = _reconstruct(d, kept, cfg)
+        out.append((fhat, kept, info))
+    return out

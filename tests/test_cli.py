@@ -161,6 +161,9 @@ def test_denoise_reports_metrics(workspace):
     assert rep["solver"]["converged"] is True
     assert rep["solver"]["n_iter"] >= 1
     assert 0.0 <= rep["solver"]["residual"] <= 1e-10
+    # poly mode with complete centers: CG preconditioned by the dual r(L)
+    assert rep["solver"]["precond_degree"] in range(80, 321, 40)
+    assert 0.0 < rep["solver"]["precond_eps"] < 1.0
     assert len(rep["thresholds"]) == 6
     assert load_signal_csv(den).size == 50
     assert main(["denoise", "--graph", str(g), "--signal", str(f),
@@ -201,6 +204,13 @@ def test_compress_curves(workspace):
     assert rep["solver"]["converged"] is True
     assert rep["solver"]["n_iter"] >= 1
     assert 0.0 <= rep["solver"]["residual"] <= 1e-10
+    assert rep["solver"]["precond_degree"] in range(80, 321, 40)
+    assert main(["compress", "--graph", str(g), "--signal", str(f),
+                 "--method", "hard", "--n-terms", "10,40", "--mode", "exact",
+                 "--out", str(hard)]) == 0
+    rep = json.loads(hard.read_text())
+    assert rep["solver"]["precond_degree"] is None
+    assert rep["solver"]["precond_eps"] is None
     assert main(["compress", "--graph", str(g), "--signal", str(f),
                  "--n-terms", "0,5", "--out", str(out)]) == 2
 
@@ -287,16 +297,25 @@ def test_malformed_input_exits_2(workspace, capsys):
     tmp, g, f = workspace
     cen = tmp / "cen.csv"
     cen.write_text("band,vertex,weight\n0,1,0.5\n-1,2,1.0\n")
+    # a numeric first line is data, not a header to skip
+    cen_float = tmp / "cen_float.csv"
+    cen_float.write_text("1.0,2,0.5\n0,3,0.5\n")
     bank = ["--design", "itersine", "--n-bands", "3"]
     bad = [
         ["transform", "--graph", str(g), "--signal", str(f), "--centers",
          str(cen), "--out", str(tmp / "c.lsgc"), *bank],
+        ["transform", "--graph", str(g), "--signal", str(f), "--centers",
+         str(cen_float), "--out", str(tmp / "c.lsgc"), *bank],
         ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "2"],
         ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "-1"],
         ["generate", "--kind", "erdos-renyi", "--n", "0"],
         ["generate", "--kind", "sensor", "--n", "0"],
         ["generate", "--kind", "sensor", "--n", "6", "--k", "6"],
         ["generate", "--kind", "sensor", "--n", "50", "--k", "0"],
+        ["generate", "--kind", "grid", "--rows", "0", "--cols", "5"],
+        ["generate", "--kind", "grid", "--rows", "5", "--cols", "-1"],
+        ["generate", "--kind", "path", "--n", "0"],
+        ["generate", "--kind", "cycle", "--n", "2"],
     ]
     capsys.readouterr()
     for argv in bad:
@@ -308,14 +327,16 @@ def test_malformed_input_exits_2(workspace, capsys):
 
 
 def test_cli_import_leaves_interpolation_unloaded():
-    # most commands build no CDF and run no probe block, so the CLI must not
-    # pay for loading scipy.interpolate or the kernels' thread pool at
-    # start-up (scipy.sparse itself loads the concurrent.futures package)
+    # most commands build no CDF, run no probe block, draw no sensor graph
+    # and read no Matrix Market file, so the CLI must not pay for loading
+    # scipy.interpolate, the kernels' thread pool, scipy.spatial or scipy.io
+    # at start-up (scipy.sparse itself loads the concurrent.futures package)
     src = str(Path(lsgf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, lsgf.cli; print([m for m in ('scipy.interpolate',"
-            " 'concurrent.futures.thread') if m in sys.modules])")
+            " 'concurrent.futures.thread', 'scipy.spatial', 'scipy.io')"
+            " if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

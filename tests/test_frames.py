@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsgf import _kernels
 from lsgf.filters import (Kernel, FilterBank, make_ideal_partition,
                           make_sgwt, make_uniform_translates)
 from lsgf.frames import (Coefficients, analysis, atom_norm_estimate,
@@ -13,7 +14,7 @@ from lsgf.frames import (Coefficients, analysis, atom_norm_estimate,
                          inverse_cg, inverse_frame_iteration,
                          inverse_single_pass, single_pass_error_bound,
                          synthesis)
-from lsgf.generators import path_graph, sensor_graph
+from lsgf.generators import clique_chain_graph, path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 
 
@@ -128,6 +129,117 @@ def test_cg_on_spectrum_deficient_bank(setup):
     assert abs(np.linalg.norm(fr - f) - missing) < 1e-8 * np.linalg.norm(f)
 
 
+def _random_coefficients(d, seed):
+    rng = np.random.default_rng(seed)
+    return Coefficients(bands=[rng.standard_normal(c.size)
+                               for c in d.centers], centers=d.centers,
+                        n=d.n)
+
+
+@pytest.mark.parametrize("design", ["sgwt", "itersine"])
+def test_preconditioned_cg_matches_dense_inverse(setup, design):
+    # (Phi Phi*)^-1 Phi c from the materialized poly atoms, for arbitrary
+    # coefficients (not in the range of the analysis)
+    g, lap, eig, f = setup
+    bank = make_sgwt(lap.lambda_max_bound, 5) if design == "sgwt" \
+        else make_uniform_translates(lap.lambda_max_bound, 5, "itersine")
+    d = dictionary_poly(lap, bank, 30)
+    c = _random_coefficients(d, 1)
+    atoms = d.materialize()
+    flat = np.concatenate(c.bands)
+    want = np.linalg.solve(atoms @ atoms.T, atoms @ flat)
+    got, info = inverse_cg(d, c)
+    assert info.converged
+    assert info.precond_degree is not None and info.precond_eps < 1.0
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_dual_certificate_bounds_grid_error(setup):
+    g, lap, eig, f = setup
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 5), 30)
+    q = d.frame_symbol()
+    grid = np.linspace(0.0, lap.lambda_max_bound, 20001)
+    direct = sum(np.asarray(p(grid)) ** 2 for p in d.approx)
+    assert q.degree == 60
+    assert np.max(np.abs(q(grid) - direct)) <= 1e-13 * np.max(direct)
+    eps = []
+    for degree in (60, 90, 120, 180, 240):
+        r, e = d.dual(degree)
+        assert r.degree == degree
+        assert e >= np.max(np.abs(q(grid) * r(grid) - 1.0))
+        eps.append(e)
+    assert all(b < a for a, b in zip(eps, eps[1:]))
+    assert eps[0] < 1.0 and eps[-1] < 1e-7
+    assert d.dual(90)[0] is d.dual(90)[0]  # cached per degree
+
+
+def test_preconditioned_cg_column_count(setup, monkeypatch):
+    # right-hand side K, r(L) once D, one iteration's analysis + synthesis
+    # 2K: sparse products counted where the kernels make them
+    g, lap, eig, f = setup
+    k = 30
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 5), k)
+    c = analysis(d, f)
+    columns = []
+    operator = _kernels._operator
+
+    class Counting:
+        def __init__(self, a):
+            self.a = a
+
+        def __matmul__(self, x):
+            columns.append(1 if x.ndim == 1 else x.shape[1])
+            return self.a @ x
+
+    monkeypatch.setattr(_kernels, "_operator",
+                        lambda *csr: Counting(operator(*csr)))
+    fr, info = inverse_cg(d, c, tol=1e-6)
+    assert info.converged and info.n_iter == 1
+    assert sum(columns) == k + info.precond_degree + 2 * k
+    assert np.linalg.norm(fr - f) <= 1e-5 * np.linalg.norm(f)
+    # D: the smallest multiple of K from 2K whose certificate meets tol
+    degree = info.precond_degree
+    assert degree % k == 0 and 2 * k < degree < 8 * k
+    assert info.precond_eps == d.dual(degree)[1] <= 1e-6
+    assert d.dual(degree - k)[1] > 1e-6
+
+
+def test_poly_cg_on_spectrum_deficient_bank():
+    # on a clique (spectrum {0, m}) a wavelet whose fit is the exact
+    # quadratic (s lambda)^2 ignores DC: q vanishes at 0, so no dual is
+    # certified and plain CG recovers the non-constant component
+    g = clique_chain_graph([12])
+    lap = build_laplacian(g, kind="combinatorial")
+    eig = eigendecompose(lap)
+    lb = lap.lambda_max_bound
+    bank = FilterBank(kernels=(Kernel("sgwt_wavelet", lb,
+                                      {"scale": 0.5 / lb}),),
+                      lambda_bar=lb, design="wavelet_only")
+    d = dictionary_poly(lap, bank, 20)
+    assert frame_bounds(d, eig=eig).lower <= 1e-20
+    assert d.dual(160)[1] >= 1.0
+    f = np.random.default_rng(2).standard_normal(g.n)
+    c = analysis(d, f)
+    fr, info = inverse_cg(d, c)
+    assert info.converged
+    assert info.precond_degree is None and info.precond_eps is None
+    keep = eig.values > 1e-8
+    covered = eig.vectors[:, keep] @ (eig.fourier(f)[keep])
+    assert np.linalg.norm(fr - covered) < 1e-8 * np.linalg.norm(f)
+    missing = np.linalg.norm(f - covered)
+    assert abs(np.linalg.norm(fr - f) - missing) < 1e-8 * np.linalg.norm(f)
+
+
+def test_plain_cg_without_complete_poly_centers(setup):
+    g, lap, eig, f = setup
+    bank = make_sgwt(lap.lambda_max_bound, 5)
+    half = [np.arange(0, g.n, 2)] * 5
+    for d in (dictionary_exact(lap, bank, eig),
+              dictionary_poly(lap, bank, 30, centers=half)):
+        fr, info = inverse_cg(d, analysis(d, f))
+        assert info.precond_degree is None and info.precond_eps is None
+
+
 def test_provenance_mismatch_rejected(setup):
     g, lap, eig, f = setup
     bank5 = make_uniform_translates(lap.lambda_max_bound, 5, "itersine")
@@ -220,9 +332,10 @@ def test_center_validation(setup):
     with pytest.raises(ValueError, match="out of range"):
         dictionary_exact(lap, bank, eig,
                          centers=[np.array([0]), np.array([g.n])])
-    with pytest.raises(ValueError, match="duplicate"):
-        dictionary_exact(lap, bank, eig,
-                         centers=[np.array([1, 1]), np.array([0])])
+    for dup in ([1, 1], [3, 0, 2, 3]):
+        with pytest.raises(ValueError, match="band 0: duplicate centers"):
+            dictionary_exact(lap, bank, eig,
+                             centers=[np.array(dup), np.array([0])])
 
 
 def test_atom_norms_exact_vs_direct(setup):

@@ -139,6 +139,14 @@ def test_centers_rejects_malformed(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError, match="band -1 out of range"):
             load_centers_csv(p)
+    # a first line holding any number is a data row, never a header
+    for text in ("1.0,2,0.5\n0,3,0.5\n", "x,2,0.5\n0,3,0.5\n",
+                 "band,vertex,weight\n0,3.5,0.5\n"):
+        p.write_text(text)
+        with pytest.raises(ValueError, match="expected integer band"):
+            load_centers_csv(p)
+    p.write_text("0,3,0.5\n")
+    assert [s.tolist() for s in load_centers_csv(p).sets] == [[3]]
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lsgf import tasks
 from lsgf.filters import make_uniform_translates
 from lsgf.frames import analysis, atom_norms_exact, dictionary_exact, \
     dictionary_poly
@@ -320,3 +321,26 @@ def test_compress_hard_threshold_full_budget_is_lossless(denoise_setup):
         compress_hard_threshold(d, f, d.n_atoms + 1)
     with pytest.raises(ValueError, match="atom count"):
         compress_hard_threshold(d, f, 0)
+
+
+def test_hard_threshold_curve_shares_analysis_and_norms(denoise_setup,
+                                                        monkeypatch):
+    # one analysis and one set of probe norms for the whole curve, and each
+    # budget's result equal to the single-budget call bit for bit
+    g, lap, eig, bank, _, f = denoise_setup
+    d = dictionary_poly(lap, bank, 30)
+    budgets = [10, 30, 60]
+    single = [compress_hard_threshold(d, f, t) for t in budgets]
+    calls = []
+    for name in ("analysis", "_atom_norms"):
+        fn = getattr(tasks, name)
+        monkeypatch.setattr(tasks, name, lambda *a, fn=fn, name=name, **k:
+                            calls.append(name) or fn(*a, **k))
+    curve = tasks._hard_threshold_curve(d, f, budgets)
+    assert sorted(calls) == ["_atom_norms", "analysis"]
+    for (fa, ka, ia), (fb, kb, ib) in zip(curve, single):
+        assert np.array_equal(fa, fb)
+        assert all(np.array_equal(a, b) for a, b in zip(ka.bands, kb.bands))
+        assert ia == ib
+    with pytest.raises(ValueError, match="atom count"):
+        tasks._hard_threshold_curve(d, f, [10, d.n_atoms + 1])
