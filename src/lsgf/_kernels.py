@@ -6,6 +6,11 @@ S = (A - center I) / half and differs only in what it accumulates from the
 vectors T_k(S) x.  Results are deterministic: the sparse product sums each
 row in storage order.
 
+Moments mu_k = x . T_k(S) x take half the recurrence.  Since
+T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 and S is symmetric,
+mu_2k = 2 |T_k(S) x|^2 - mu_0 and mu_2k-1 = 2 <T_k(S) x, T_k-1(S) x> - mu_1,
+so n moments cost ceil((n - 1) / 2) sparse products per column, not n - 1.
+
 x may be one signal of shape (N,) or a block of B column signals of shape
 (N, B); the column axis comes last in every output shape.  A block is split
 into at most W contiguous column groups, W being the number of CPUs in the
@@ -142,12 +147,27 @@ def _stack(a, coeff_rows, center, half, out, x):
                 out[j] += c[j] * t
 
 
+def _dot(u, v):
+    return np.einsum("i...,i...->...", u, v)
+
+
 def _moments(a, center, half, out, x):
-    vectors = _chebyshev_vectors(a, out.shape[0], center, half, x)
-    for k, t in zip(range(out.shape[0]), vectors):
+    # mu_0 and mu_1 directly, the rest by the doubling identities above
+    n = out.shape[0]
+    if n == 0:
+        return
+    prev = None
+    for k, t in enumerate(_chebyshev_vectors(a, n // 2 + 1, center, half,
+                                             x)):
         if k == 0:
-            x = t  # the contiguous float64 copy, whatever x's strides
-        out[k] = np.einsum("i...,i...->...", x, t)
+            out[0] = _dot(t, t)
+        elif k == 1:
+            out[1] = _dot(prev, t)
+        else:
+            out[2 * k - 1] = 2.0 * _dot(t, prev) - out[1]
+        if 0 < 2 * k < n:
+            out[2 * k] = 2.0 * _dot(t, t) - out[0]
+        prev = t
 
 
 def _apply(indptr, indices, data, coeff_rows, center, half, x, out):
@@ -182,7 +202,11 @@ def cheb_apply_stack(indptr, indices, data, coeff_rows, center, half, x):
 
 
 def cheb_moments(indptr, indices, data, n_moments, center, half, x):
-    """m[k] = x . T_k(S) x for k = 0 .. n_moments-1, per column of a block."""
+    """m[k] = x . T_k(S) x for k = 0 .. n_moments-1, per column of a block.
+
+    The recurrence runs only to T_m(S) x, m = ceil((n_moments - 1) / 2), so
+    the call costs m columns per column of x rather than n_moments - 1.
+    """
     x = np.asarray(x)
     out = np.empty((n_moments,) + x.shape[1:])
     a = _operator(indptr, indices, data)

@@ -64,8 +64,9 @@ def chebyshev_fit(kernel, degree, lambda_bar, jackson=False):
     vals = np.asarray(kernel(lam), dtype=np.float64)
     if vals.shape != lam.shape:
         raise ValueError("kernel must evaluate elementwise on arrays")
-    k = np.arange(degree + 1)
-    coeffs = (2.0 / m) * (np.cos(np.outer(k, theta)) @ vals)
+    # in place: the (K+1, m) cosine matrix is the fit's largest array
+    cosines = np.outer(np.arange(degree + 1), theta)
+    coeffs = (2.0 / m) * (np.cos(cosines, out=cosines) @ vals)
     coeffs[0] /= 2.0
     if jackson:
         coeffs = coeffs * jackson_coefficients(degree)

@@ -96,6 +96,20 @@ def _check_centers(n, n_bands, centers):
     return out
 
 
+def _truncation_errors(q, r):
+    """l1 norms of the Chebyshev coefficients of q r_D - 1 for every D,
+    r_D the series r truncated after T_D."""
+    # T_i T_j = (T_{i+j} + T_{|i-j|}) / 2: column i holds the series q T_i
+    i = np.arange(r.size)
+    prod = np.zeros((q.size + r.size - 1, r.size))
+    for j, qj in enumerate(q):
+        prod[i + j, i] += qj / 2.0
+        prod[np.abs(i - j), i] += qj / 2.0
+    partial = np.cumsum(prod * r, axis=1)
+    partial[0] -= 1.0
+    return np.abs(partial).sum(axis=0)
+
+
 class Dictionary:
     """Filter-bank dictionary over a Laplacian with per-band centers."""
 
@@ -117,6 +131,7 @@ class Dictionary:
         if mode == "exact":
             self._diag = np.vstack([np.atleast_1d(g(eig.values))
                                     for g in bank.kernels])
+        self._dual_fit = None
         self._duals = {}
         self.token = self._fingerprint()
 
@@ -174,27 +189,41 @@ class Dictionary:
         return ChebyshevApprox(degree=q.size - 1, coeffs=q, lambda_bar=lb)
 
     def dual(self, degree):
-        """(r, eps): a degree-D fit r of 1/q on [0, lambda_bar] (poly mode).
+        """(r, eps): a degree-D approximant r of 1/q on [0, lambda_bar].
 
+        Poly mode, D from 0 to 8K, K the approximants' degree.  r is the
+        degree-D truncation of one degree-8K fit of 1/q, so every D shares
+        that fit and r does not depend on which degrees were asked before.
         eps is the l1 norm of the Chebyshev coefficients of q r - 1, which
         bounds sup |q r - 1| over the interval since |T_k| <= 1 there.  q is
         floored at machine epsilon times its own l1 norm before the
         reciprocal is fitted, so a q that vanishes on part of the interval
-        gives eps >= 1 rather than an overflow.  Built on first request and
-        cached per degree.
+        gives eps >= 1 rather than an overflow.  The fit and every degree's
+        eps are built on first request; r is cached per degree.
         """
-        if degree not in self._duals:
+        if self._dual_fit is None:
             q = self.frame_symbol()
+            top = 8 * max(p.degree for p in self.approx)
             floor = np.finfo(np.float64).eps * float(np.abs(q.coeffs).sum())
             if floor == 0.0:
-                self._duals[degree] = (None, np.inf)
+                self._dual_fit = (None, np.full(top + 1, np.inf))
             else:
-                r = chebyshev_fit(lambda lam: 1.0 / np.maximum(q(lam), floor),
-                                  degree, q.lambda_bar)
-                err = chebmul(q.coeffs, r.coeffs)
-                err[0] -= 1.0
-                self._duals[degree] = (r, float(np.abs(err).sum()))
-        return self._duals[degree]
+                fit = chebyshev_fit(
+                    lambda lam: 1.0 / np.maximum(q(lam), floor), top,
+                    q.lambda_bar)
+                self._dual_fit = (fit, _truncation_errors(q.coeffs,
+                                                          fit.coeffs))
+        fit, eps = self._dual_fit
+        if not 0 <= degree < eps.size:
+            raise ValueError(f"dual degree {degree} outside [0, "
+                             f"{eps.size - 1}]")
+        if fit is None:
+            return None, np.inf
+        if degree not in self._duals:
+            self._duals[degree] = ChebyshevApprox(
+                degree=degree, coeffs=fit.coeffs[:degree + 1].copy(),
+                lambda_bar=fit.lambda_bar)
+        return self._duals[degree], float(eps[degree])
 
     def kernel_values(self, j, lam):
         """Band j's transfer function: exact kernel or its approximant."""
@@ -396,8 +425,8 @@ def _preconditioner(d, tol):
     if d.mode != "poly" or not d.is_complete():
         return None
     k = max(p.degree for p in d.approx)
-    for m in range(2, 9):
-        r, eps = d.dual(m * k)
+    for degree in range(2 * k, 8 * k + 1):
+        r, eps = d.dual(degree)
         if eps <= tol:
             break
     return (r, eps) if eps < 1.0 else None
@@ -413,8 +442,8 @@ def inverse_cg(d, c, tol=1e-10, max_iter=1000):
 
     In poly mode with complete centers Phi Phi* = q(L), and CG is
     preconditioned with r(L), r the degree-D dual of q (Dictionary.dual):
-    D is the smallest multiple of the approximants' degree K in [2K, 8K]
-    whose certificate eps is at most tol, else 8K.  Since |q r - 1| <= eps
+    D is the smallest degree in [2K, 8K], K the approximants' degree, whose
+    certificate eps is at most tol, else 8K.  Since |q r - 1| <= eps
     on the spectrum, one iteration usually reaches tol.  Exact mode, center
     subsets and duals with eps >= 1 (q vanishing on part of the interval)
     run plain CG.  The stopping test is the same in every case.

@@ -60,13 +60,18 @@ def load_graph_csv(path):
             if not line:
                 continue
             parts = line.split(",")
-            if ln == 0 and not parts[0].strip().lstrip("-").isdigit():
+            # only a first line without a single number is a header
+            if ln == 0 and not any(_is_number(p) for p in parts):
                 continue
             if len(parts) != 3:
                 raise ValueError(f"line {ln + 1}: expected src,dst,weight")
-            src.append(int(parts[0]))
-            dst.append(int(parts[1]))
-            w.append(float(parts[2]))
+            try:
+                src.append(int(parts[0]))
+                dst.append(int(parts[1]))
+                w.append(float(parts[2]))
+            except ValueError:
+                raise ValueError(f"line {ln + 1}: expected integer src and "
+                                 f"dst ids and a weight: {line!r}") from None
     if not src:
         raise ValueError("edge list is empty")
     n = max(max(src), max(dst)) + 1

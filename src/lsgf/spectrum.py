@@ -32,7 +32,7 @@ class SpectralCDF:
     grid: np.ndarray
     values: np.ndarray
     eigenvalues: np.ndarray | None = None
-    _interp: object = field(init=False, repr=False)
+    _interp: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=np.float64)
@@ -45,9 +45,14 @@ class SpectralCDF:
             raise ValueError("values must match grid")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("values must be nondecreasing")
-        # scipy.interpolate loads slowly and most CLI commands build no CDF
-        from scipy.interpolate import PchipInterpolator
-        self._interp = PchipInterpolator(self.grid, self.values)
+
+    def _interpolant(self):
+        # built on first evaluation: scipy.interpolate loads slowly, and
+        # most CLI commands evaluate no CDF (spectrum-cdf only writes one)
+        if self._interp is None:
+            from scipy.interpolate import PchipInterpolator
+            self._interp = PchipInterpolator(self.grid, self.values)
+        return self._interp
 
     @property
     def lambda_bar(self):
@@ -63,8 +68,8 @@ class SpectralCDF:
             n = self.eigenvalues.size
             out = np.searchsorted(self.eigenvalues, z, side=side) / n
         else:
-            out = np.clip(self._interp(np.clip(z, 0.0, self.lambda_bar)),
-                          0.0, 1.0)
+            interp = self._interpolant()
+            out = np.clip(interp(np.clip(z, 0.0, self.lambda_bar)), 0.0, 1.0)
             out = np.where(z >= self.lambda_bar, 1.0, out)
             out = np.where(z < 0.0, 0.0, out)
         return out if out.ndim else float(out)
@@ -80,7 +85,7 @@ class SpectralCDF:
             out = self.eigenvalues[k - 1]
         else:
             zs = np.linspace(0.0, self.lambda_bar, 4001)
-            ps = np.clip(self._interp(zs), 0.0, 1.0)
+            ps = np.clip(self._interpolant()(zs), 0.0, 1.0)
             ps = np.maximum.accumulate(ps)
             idx = np.searchsorted(ps, q, side="left")
             out = zs[np.clip(idx, 0, zs.size - 1)]
@@ -90,7 +95,7 @@ class SpectralCDF:
         """Derivative of the interpolant (zero floor); a spectral-density
         proxy used to locate sparse regions of the spectrum."""
         z = np.clip(np.asarray(z, dtype=np.float64), 0.0, self.lambda_bar)
-        out = np.maximum(self._interp.derivative()(z), 0.0)
+        out = np.maximum(self._interpolant().derivative()(z), 0.0)
         return out if out.ndim else float(out)
 
 

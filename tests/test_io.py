@@ -63,6 +63,14 @@ def test_graph_csv_rejects_malformed(tmp_path):
     p.write_text("src,dst,weight\n")
     with pytest.raises(ValueError, match="empty"):
         load_graph_csv(p)
+    # a first line holding any number is a data row, never a header
+    for text, line in (("1.5,2,1.0\n0,1,1.0\n", 1),
+                       ("x,2,1.0\n0,1,1.0\n", 1),
+                       ("src,dst,weight\n0,1\n", 2),
+                       ("src,dst,weight\n0,1,1.0\n2,x,1.0\n", 3)):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: expected"):
+            load_graph_csv(p)
 
 
 def test_graph_csv_headerless(tmp_path):

@@ -73,15 +73,21 @@ def test_zero_padded_coeffs_do_not_change_result(lap):
 
 
 def test_moments_match_explicit_inner_products(lap):
+    # odd and even counts: the doubling identities read moments 2m - 1
+    # and 2m off the vectors up to T_m x
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(lap.n)
     center = half = lap.lambda_max_bound / 2.0
-    m = _kernels.cheb_moments(*_csr(lap), 12, center, half, x)
-    for k in range(12):
-        e = np.zeros(k + 1)
-        e[k] = 1.0
-        tk_x = _kernels.cheb_apply(*_csr(lap), e, center, half, x)
-        assert abs(m[k] - x @ tk_x) < 1e-10 * (abs(m[k]) + 1.0)
+    for x in (rng.standard_normal(lap.n), rng.standard_normal((lap.n, 3))):
+        for n_moments in (1, 2, 3, 4, 12, 61):
+            m = _kernels.cheb_moments(*_csr(lap), n_moments, center, half, x)
+            assert m.shape == (n_moments,) + x.shape[1:]
+            for k in range(n_moments):
+                e = np.zeros(k + 1)
+                e[k] = 1.0
+                tk_x = _kernels.cheb_apply(*_csr(lap), e, center, half, x)
+                want = np.einsum("i...,i...->...", x, tk_x)
+                assert np.all(np.abs(m[k] - want)
+                              < 1e-10 * (np.abs(m[k]) + 1.0))
 
 
 def test_degree_zero_and_one():

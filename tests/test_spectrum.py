@@ -272,12 +272,8 @@ def test_energy_cdf_matches_per_grid_point_filtering(kind):
         assert np.abs(qe.values - ref).max() <= 1e-12
 
 
-def test_energy_cdf_costs_2k_columns_per_signal(monkeypatch):
-    # moments up to T_2K cost 2K sparse products per signal, whatever the
-    # grid; filtering per grid point would cost n_grid * K
-    g = sensor_graph(80, seed=4)
-    lap = build_laplacian(g, kind="combinatorial")
-    sigs = np.random.default_rng(0).standard_normal((3, g.n))
+def _count_columns(monkeypatch):
+    # sparse products counted where the kernels make them
     columns = []
     operator = _kernels._operator
 
@@ -291,8 +287,29 @@ def test_energy_cdf_costs_2k_columns_per_signal(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_operator",
                         lambda *csr: Counting(operator(*csr)))
+    return columns
+
+
+def test_energy_cdf_costs_k_columns_per_signal(monkeypatch):
+    # moments up to T_2K come from the vectors up to T_K: K sparse products
+    # per signal, whatever the grid; filtering per grid point would cost
+    # n_grid * K
+    g = sensor_graph(80, seed=4)
+    lap = build_laplacian(g, kind="combinatorial")
+    sigs = np.random.default_rng(0).standard_normal((3, g.n))
+    columns = _count_columns(monkeypatch)
     estimate_energy_cdf(lap, sigs, n_grid=50, kpm_degree=30)
-    assert sum(columns) == 2 * 30 * 3
+    assert sum(columns) == 30 * 3
+
+
+def test_spectral_cdf_costs_half_k_columns_per_probe(monkeypatch):
+    # moments up to T_K come from the vectors up to T_ceil(K/2)
+    lap = build_laplacian(sensor_graph(80, seed=4), kind="combinatorial")
+    columns = _count_columns(monkeypatch)
+    for degree in (30, 7):
+        columns.clear()
+        estimate_spectral_cdf(lap, n_probes=5, kpm_degree=degree)
+        assert sum(columns) == 5 * -(-degree // 2)
 
 
 def test_energy_cdf_checks_mode_before_signals():
