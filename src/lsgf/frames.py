@@ -188,18 +188,10 @@ class Dictionary:
         lb = self.approx[0].lambda_bar
         return ChebyshevApprox(degree=q.size - 1, coeffs=q, lambda_bar=lb)
 
-    def dual(self, degree):
-        """(r, eps): a degree-D approximant r of 1/q on [0, lambda_bar].
+    def dual_errors(self):
+        """eps of every dual degree D from 0 to 8K, as one array (poly mode).
 
-        Poly mode, D from 0 to 8K, K the approximants' degree.  r is the
-        degree-D truncation of one degree-8K fit of 1/q, so every D shares
-        that fit and r does not depend on which degrees were asked before.
-        eps is the l1 norm of the Chebyshev coefficients of q r - 1, which
-        bounds sup |q r - 1| over the interval since |T_k| <= 1 there.  q is
-        floored at machine epsilon times its own l1 norm before the
-        reciprocal is fitted, so a q that vanishes on part of the interval
-        gives eps >= 1 rather than an overflow.  The fit and every degree's
-        eps are built on first request; r is cached per degree.
+        Built with the degree-8K fit on first request; see dual.
         """
         if self._dual_fit is None:
             q = self.frame_symbol()
@@ -213,7 +205,23 @@ class Dictionary:
                     q.lambda_bar)
                 self._dual_fit = (fit, _truncation_errors(q.coeffs,
                                                           fit.coeffs))
-        fit, eps = self._dual_fit
+        return self._dual_fit[1]
+
+    def dual(self, degree):
+        """(r, eps): a degree-D approximant r of 1/q on [0, lambda_bar].
+
+        Poly mode, D from 0 to 8K, K the approximants' degree.  r is the
+        degree-D truncation of one degree-8K fit of 1/q, so every D shares
+        that fit and r does not depend on which degrees were asked before.
+        eps is the l1 norm of the Chebyshev coefficients of q r - 1, which
+        bounds sup |q r - 1| over the interval since |T_k| <= 1 there.  q is
+        floored at machine epsilon times its own l1 norm before the
+        reciprocal is fitted, so a q that vanishes on part of the interval
+        gives eps >= 1 rather than an overflow.  The fit and every degree's
+        eps are built on first request; r is cached per requested degree.
+        """
+        eps = self.dual_errors()
+        fit = self._dual_fit[0]
         if not 0 <= degree < eps.size:
             raise ValueError(f"dual degree {degree} outside [0, "
                              f"{eps.size - 1}]")
@@ -425,10 +433,8 @@ def _preconditioner(d, tol):
     if d.mode != "poly" or not d.is_complete():
         return None
     k = max(p.degree for p in d.approx)
-    for degree in range(2 * k, 8 * k + 1):
-        r, eps = d.dual(degree)
-        if eps <= tol:
-            break
+    met = np.flatnonzero(d.dual_errors()[2 * k:] <= tol)
+    r, eps = d.dual(2 * k + int(met[0]) if met.size else 8 * k)
     return (r, eps) if eps < 1.0 else None
 
 

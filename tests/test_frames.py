@@ -171,6 +171,7 @@ def test_dual_certificate_bounds_grid_error(setup):
     assert all(b < a for a, b in zip(eps, eps[1:]))
     assert eps[0] < 1.0 and eps[-1] < 1e-7
     assert d.dual(90)[0] is d.dual(90)[0]  # cached per degree
+    assert np.array_equal(d.dual_errors()[[60, 90, 120, 180, 240]], eps)
     # every degree truncates one degree-8K fit, whatever the call order
     fresh = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 5), 30)
     r, e = fresh.dual(240)
@@ -206,6 +207,7 @@ def test_preconditioned_cg_column_count(setup, monkeypatch):
     assert np.linalg.norm(fr - f) <= 1e-5 * np.linalg.norm(f)
     # D: the smallest degree from 2K whose certificate meets tol
     degree = info.precond_degree
+    assert list(d._duals) == [degree]  # only the chosen r is built
     assert 2 * k < degree < 8 * k
     assert info.precond_eps == d.dual(degree)[1] <= 1e-6
     assert all(d.dual(m)[1] > 1e-6 for m in range(2 * k, degree))

@@ -3,13 +3,13 @@
 Each side is a checkout holding perfbench/run.py and src/lsgf.  Pair i runs
 both sides once at --trace 0, the parent first in even pairs and the change
 first in odd ones, so drift of the host over a run does not favour a side.
-With --traced, each side then makes one --trace 1 run for the per-layer
-figures.  The workload's entry is added to --out (a JSON object keyed by
-workload), creating the file if needed:
+There are PAIRS pairs, the fewest that can show a side winning 9 of 10.
+Each side then makes one --trace 1 run for the per-layer figures.  The
+workload's entry is added to --out (a JSON object keyed by workload),
+creating the file if needed:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload adapt-grid --seed 7301 --pairs 10 --seconds 38 \\
-        --traced --out BENCH_7.json
+        --workload adapt-grid --seed 7301 --seconds 38 --out BENCH_7.json
 """
 
 import argparse
@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "request_p50_s", "peak_rss_mb")  # all: lower is better
+PAIRS = 10
 
 
 def run(checkout, workload, seed, seconds, trace):
@@ -44,16 +45,14 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=38.0)
-    ap.add_argument("--traced", action="store_true")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
 
     runs = {side: [] for side in sides}
     env = None
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             detail, result = run(sides[side], args.workload, args.seed,
@@ -64,7 +63,7 @@ def main(argv=None):
                 {m: result["metrics"][m]["value"] for m in METRICS}),
                 file=sys.stderr, flush=True)
 
-    entry = {"seed": args.seed, "pairs": args.pairs,
+    entry = {"seed": args.seed, "pairs": PAIRS,
              "seconds": args.seconds, "env": env, "end_to_end": {},
              "failed_frac": {side: max(r["failed"] / r["attempted"]
                                        for r in runs[side])
@@ -76,13 +75,12 @@ def main(argv=None):
             **{side: summary(values[side]) for side in sides},
             "change_better_pairs": sum(
                 c < p for p, c in zip(values["parent"], values["change"]))}
-    if args.traced:
-        entry["per_layer"] = {}
-        for side in sides:
-            detail, result = run(sides[side], args.workload, args.seed,
-                                 args.seconds, 1)
-            entry["per_layer"][side] = {
-                name: m["value"] for name, m in result["metrics"].items()}
+    entry["per_layer"] = {}
+    for side in sides:
+        detail, result = run(sides[side], args.workload, args.seed,
+                             args.seconds, 1)
+        entry["per_layer"][side] = {
+            name: m["value"] for name, m in result["metrics"].items()}
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
