@@ -1,15 +1,15 @@
 """Alternating parent/change runs of one perfbench workload, as JSON.
 
 Each side is a checkout holding perfbench/run.py and src/lsgf.  Pair i runs
-both sides once at --trace 0, the parent first in even pairs and the change
-first in odd ones, so drift of the host over a run does not favour a side.
-There are PAIRS pairs, the fewest that can show a side winning 9 of 10.
-Each side then makes one --trace 1 run for the per-layer figures.  The
-workload's entry is added to --out (a JSON object keyed by workload),
-creating the file if needed:
+both sides once for SECONDS at --trace 0, the parent first in even pairs and
+the change first in odd ones, so drift of the host over a run does not
+favour a side.  There are PAIRS pairs, the fewest that can show a side
+winning 9 of 10.  Each side then makes one --trace 1 run for the per-layer
+figures.  The workload's entry is added to --out (a JSON object keyed by
+workload), creating the file if needed:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload adapt-grid --seed 7301 --seconds 38 --out BENCH_7.json
+        --workload adapt-grid --seed 7301 --out BENCH_7.json
 """
 
 import argparse
@@ -21,13 +21,14 @@ from pathlib import Path
 
 METRICS = ("setup_s", "request_p50_s", "peak_rss_mb")  # all: lower is better
 PAIRS = 10
+SECONDS = 38.0  # the run length BENCHMARK.json gives each workload
 
 
-def run(checkout, workload, seed, seconds, trace):
+def run(checkout, workload, seed, trace):
     """(detail, result) of one benchmark run in that checkout."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
+         "--seed", str(seed), "--seconds", str(SECONDS),
          "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     detail, result = (json.loads(line) for line in out.splitlines()[-2:])
@@ -45,7 +46,6 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=38.0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
@@ -55,8 +55,7 @@ def main(argv=None):
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            detail, result = run(sides[side], args.workload, args.seed,
-                                 args.seconds, 0)
+            detail, result = run(sides[side], args.workload, args.seed, 0)
             env = env or detail["env"]
             runs[side].append(result)
             print(f"pair {i} {side}: " + json.dumps(
@@ -64,7 +63,7 @@ def main(argv=None):
                 file=sys.stderr, flush=True)
 
     entry = {"seed": args.seed, "pairs": PAIRS,
-             "seconds": args.seconds, "env": env, "end_to_end": {},
+             "seconds": SECONDS, "env": env, "end_to_end": {},
              "failed_frac": {side: max(r["failed"] / r["attempted"]
                                        for r in runs[side])
                              for side in sides}}
@@ -77,8 +76,7 @@ def main(argv=None):
                 c < p for p, c in zip(values["parent"], values["change"]))}
     entry["per_layer"] = {}
     for side in sides:
-        detail, result = run(sides[side], args.workload, args.seed,
-                             args.seconds, 1)
+        detail, result = run(sides[side], args.workload, args.seed, 1)
         entry["per_layer"][side] = {
             name: m["value"] for name, m in result["metrics"].items()}
 
