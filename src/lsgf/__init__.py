@@ -34,7 +34,7 @@ from .spectrum import (SpectralCDF, estimate_energy_cdf,
                        estimate_spectral_cdf, exact_spectral_cdf)
 from .tasks import (DenoiseConfig, Metrics, OmpResult, add_noise,
                     compress_hard_threshold, compress_omp, denoise, metrics,
-                    omp, soft_threshold, sure_threshold_band,
+                    omp, reconstruct, soft_threshold, sure_threshold_band,
                     sure_thresholds)
 
 __version__ = "0.1.0"
@@ -60,6 +60,6 @@ __all__ = [
     "uniqueness_partition", "SpectralCDF", "estimate_energy_cdf",
     "estimate_spectral_cdf", "exact_spectral_cdf", "DenoiseConfig",
     "Metrics", "OmpResult", "add_noise", "compress_hard_threshold",
-    "compress_omp", "denoise", "metrics", "omp", "soft_threshold",
-    "sure_threshold_band", "sure_thresholds",
+    "compress_omp", "denoise", "metrics", "omp", "reconstruct",
+    "soft_threshold", "sure_threshold_band", "sure_thresholds",
 ]

@@ -18,9 +18,7 @@ from .filters import (Warping, make_adapted_translates, make_dct_bands,
                       make_ideal_partition, make_log_warped_translates,
                       make_sgwt, make_uniform_translates,
                       shift_edges_to_sparse_regions)
-from .frames import (InverseInfo, analysis, dictionary_exact,
-                     dictionary_poly, frame_bounds, inverse_cg,
-                     inverse_frame_iteration, inverse_single_pass)
+from .frames import InverseInfo, analysis, dictionary_exact, dictionary_poly
 from .graphs import build_laplacian, eigendecompose
 from .spectrum import estimate_spectral_cdf, exact_spectral_cdf
 
@@ -288,20 +286,16 @@ def cmd_inverse(args):
     bank = build_bank(spec, lap.lambda_max_bound, lap=lap, args=args)
     coeffs = io.load_coefficients(args.coefficients, lap.n)
     d = _build_dictionary(args, lap, bank, centers=coeffs.centers)
-    if args.method == "cg":
-        f, info = inverse_cg(d, coeffs, tol=args.tol,
-                             max_iter=args.max_iter)
+    f, info = tasks.reconstruct(d, coeffs, args.method.replace("-", "_"),
+                                tol=args.tol, max_iter=args.max_iter,
+                                n_iter=args.iterations)
+    if info is not None:
         note = (f"cg: converged={info.converged} iter={info.n_iter} "
                 f"residual={info.residual:.3e}")
+    elif args.method == "frame-iter":
+        note = f"frame iteration x{args.iterations}"
     else:
-        basis = "exact_sigma" if args.mode == "exact" else "grid"
-        bounds = frame_bounds(d, basis=basis)
-        if args.method == "frame-iter":
-            f = inverse_frame_iteration(d, coeffs, bounds, args.iterations)
-            note = f"frame iteration x{args.iterations}"
-        else:
-            f = inverse_single_pass(d, coeffs, bounds)
-            note = "single pass"
+        note = "single pass"
     io.save_signal_csv(args.out, f)
     print(f"inverse ({note}) -> {args.out}")
     return 0
@@ -335,9 +329,8 @@ def cmd_denoise(args):
     else:
         noisy = tasks.add_noise(clean, args.sigma, seed=args.noise_seed)
     d = _pipeline_dictionary(args, lap)
-    method = {"cg": "cg", "frame-iter": "frame_iter",
-              "single-pass": "single_pass"}[args.method]
-    cfg = tasks.DenoiseConfig(sigma=args.sigma, inverse=method,
+    cfg = tasks.DenoiseConfig(sigma=args.sigma,
+                              inverse=args.method.replace("-", "_"),
                               frame_iterations=args.iterations)
     fhat, report = tasks.denoise(d, noisy, cfg)
     m = tasks.metrics(clean, fhat, noisy=noisy)

@@ -14,7 +14,7 @@ Design families:
 * cosine-tapered lapped bands ("dct");
 * monomial-rise / spline / power-decay wavelets plus a companion scaling
   kernel ("sgwt"), which is deliberately not a tight design;
-* interpolating kernels (greens, diffusion, index-decay powers).
+* the diffusion (heat) kernel exp(-tau lambda).
 
 Warpings: logarithmic, spectral-CDF, log of spectral-CDF, and energy-CDF;
 each maps [0, lambda_bar] onto itself monotonically, so warped
@@ -139,14 +139,6 @@ class Kernel:
             return p["gamma"] * np.exp(-(lam / (0.6 * p["lmin"])) ** 4)
         if fam == "diffusion":
             return np.exp(-p["tau"] * lam)
-        if fam == "greens":
-            eps, s = p["eps"], p["s"]
-            return eps / (lam + eps) ** s
-        if fam == "poly_decay_index":
-            eigs = np.asarray(p["eigenvalues"])
-            idx = np.clip(np.searchsorted(eigs, lam, side="right") - 1, 0,
-                          eigs.size - 1)
-            return 1.0 / (idx + 1.0) ** p["s"]
         raise ValueError(f"unknown kernel family {self.family!r}")
 
     def __call__(self, lam):

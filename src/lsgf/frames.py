@@ -22,7 +22,10 @@ from . import _kernels
 from .chebyshev import (ChebyshevApprox, apply_poly_bank,
                         apply_poly_bank_adjoint, apply_poly_filter,
                         chebyshev_fit)
-from .graphs import as_block, as_signal
+from .graphs import as_block
+
+# identity columns filtered per call when atoms are formed explicitly
+_BLOCK = 256
 
 
 @dataclass
@@ -233,24 +236,24 @@ class Dictionary:
                 lambda_bar=fit.lambda_bar)
         return self._duals[degree], float(eps[degree])
 
-    def kernel_values(self, j, lam):
-        """Band j's transfer function: exact kernel or its approximant."""
-        fn = self.bank.kernels[j] if self.mode == "exact" else self.approx[j]
-        return fn(lam)
-
     def filter_all(self, f):
         """(J, N) matrix of g_j(L) f for every band.
 
         f may also be an (N, B) block of column signals; the result is then
         (J, N, B), and column b equals the call on f[:, b] alone.
         """
+        return self._filter(f, slice(None))
+
+    def _filter(self, f, bands):
+        """filter_all restricted to the bands selected by the slice bands."""
         f = as_block(self.lap.n, f)
         if self.mode == "exact":
             if f.ndim == 2:
-                return np.stack([self.filter_all(c) for c in f.T], axis=-1)
+                return np.stack([self._filter(c, bands) for c in f.T],
+                                axis=-1)
             fhat = self.eig.fourier(f)
-            return self.eig.inverse_fourier((self._diag * fhat).T).T
-        return apply_poly_bank(self.approx, self.lap, f)
+            return self.eig.inverse_fourier((self._diag[bands] * fhat).T).T
+        return apply_poly_bank(self.approx[bands], self.lap, f)
 
     def adjoint(self, u):
         """sum_j g_j(L) u_j for a (J, N) block: the adjoint of filter_all."""
@@ -263,37 +266,27 @@ class Dictionary:
             return self.eig.inverse_fourier(np.sum(self._diag * uhat, axis=0))
         return apply_poly_bank_adjoint(self.approx, self.lap, u)
 
-    def filter_band(self, j, f):
-        f = as_signal(self.lap.n, f)
-        if self.mode == "exact":
-            fhat = self.eig.fourier(f)
-            return self.eig.inverse_fourier(self._diag[j] * fhat)
-        return apply_poly_filter(self.approx[j], self.lap, f)
+    def _columns(self, j, cols):
+        """Columns cols of g_j(L), filtered as identity columns in blocks of
+        at most _BLOCK, so the working set stays O(N x _BLOCK)."""
+        for s in range(0, cols.size, _BLOCK):
+            ids = cols[s:s + _BLOCK]
+            eye = np.zeros((self.lap.n, ids.size))
+            eye[ids, np.arange(ids.size)] = 1.0
+            yield self._filter(eye, slice(j, j + 1))[0]
 
     def atom(self, j, i):
         """Atom of band j centered at vertex i (column of g_j(L))."""
-        delta = np.zeros(self.lap.n)
-        delta[i] = 1.0
-        return self.filter_band(j, delta)
+        return next(self._columns(j, np.array([i])))[:, 0]
 
     def band_matrix(self, j):
-        """Dense g_j(L) (exact mode only)."""
-        if self.mode != "exact":
-            raise ValueError("dense band matrices need exact mode")
-        u = self.eig.vectors
-        return (u * self._diag[j]) @ u.T
+        """Dense g_j(L)."""
+        return np.hstack(list(self._columns(j, np.arange(self.lap.n))))
 
     def materialize(self):
         """(N, M) atom matrix, bands in order, centers ascending per band."""
-        cols = []
-        for j in range(self.n_bands):
-            if self.mode == "exact":
-                cols.append(self.band_matrix(j)[:, self.centers[j]])
-            else:
-                block = np.empty((self.lap.n, self.centers[j].size))
-                for k, i in enumerate(self.centers[j]):
-                    block[:, k] = self.atom(j, int(i))
-                cols.append(block)
+        cols = [b for j, c in enumerate(self.centers)
+                for b in self._columns(j, c)]
         return np.hstack(cols) if cols else np.zeros((self.lap.n, 0))
 
     def band_eig_indices(self, j, tol=1e-8):
@@ -338,10 +331,11 @@ def frame_bounds(d, basis="exact_sigma", eig=None, n_grid=2000):
     """Extremes of the squared kernel sum G.
 
     With complete center sets these are frame bounds of the dictionary.  In
-    polynomial mode G uses the fitted approximants, so the bounds reflect
-    what the fast transform actually applies.  basis='exact_sigma' evaluates
-    at the true eigenvalues (needs a decomposition); 'grid' uses a uniform
-    grid on [0, lambda_bar].
+    polynomial mode G is the frame symbol q = sum_j p_j^2 of the fitted
+    approximants, so the bounds reflect what the fast transform actually
+    applies; exact mode sums the bank's squared kernels.
+    basis='exact_sigma' evaluates at the true eigenvalues (needs a
+    decomposition); 'grid' uses a uniform grid on [0, lambda_bar].
     """
     if basis == "exact_sigma":
         ev = eig if eig is not None else d.eig
@@ -352,9 +346,8 @@ def frame_bounds(d, basis="exact_sigma", eig=None, n_grid=2000):
         pts = np.linspace(0.0, d.bank.lambda_bar, n_grid)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    g = np.zeros(pts.size)
-    for j in range(d.n_bands):
-        g += np.asarray(d.kernel_values(j, pts)) ** 2
+    g = d.bank.squared_sum(pts) if d.mode == "exact" \
+        else d.frame_symbol()(pts)
     return FrameBounds(lower=float(g.min()), upper=float(g.max()),
                        basis=basis)
 
@@ -466,11 +459,15 @@ def inverse_cg(d, c, tol=1e-10, max_iter=1000):
 
 
 def atom_norms_exact(d):
-    """Per-band exact atom norms at the centers (exact mode)."""
+    """Per-band exact atom norms at the centers, in either mode.
+
+    The atoms are formed in blocks of at most 256 columns, never as a dense
+    N x N matrix.
+    """
     out = []
-    for j in range(d.n_bands):
-        bm = d.band_matrix(j)
-        out.append(np.linalg.norm(bm[:, d.centers[j]], axis=0))
+    for j, c in enumerate(d.centers):
+        norms = [np.linalg.norm(b, axis=0) for b in d._columns(j, c)]
+        out.append(np.concatenate(norms) if norms else np.zeros(0))
     return out
 
 

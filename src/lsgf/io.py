@@ -2,7 +2,8 @@
 
 Graphs travel as Matrix Market (symmetric real, 1-based) or as edge-list
 CSV with a src,dst,weight header and 0-based vertex ids.  Signals are
-single-column CSV with an optional header.  Coefficients use a compact
+single-column CSV with an optional header; in every CSV a first line is a
+header only when none of its fields is a number.  Coefficients use a compact
 little-endian binary layout; a CSV export exists for interoperability.
 """
 
@@ -52,28 +53,45 @@ def save_graph_csv(path, graph):
                     fh.write(f"{i},{j},{float(w)!r}\n")
 
 
-def load_graph_csv(path):
-    src, dst, w = [], [], []
+def _csv_values(path, fields, convert, invalid):
+    """Values of a CSV file's data rows, converted row by row, in one list.
+
+    convert maps a row's list of fields to a tuple of values; fields names
+    the columns, as in 'z,value'.  Only a first line none of whose fields is
+    a number is a header.  A row with the wrong field count fails with
+    'line N: expected <fields>', one that convert rejects with a ValueError
+    with 'line N: <invalid>: <the line>'.  The list is flat, so that no
+    per-row object outlives its row for the garbage collector to scan.
+    """
+    n_fields = fields.count(",") + 1
+    values = []
     with open(path) as fh:
-        for ln, line in enumerate(fh):
+        for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            # only a first line without a single number is a header
-            if ln == 0 and not any(_is_number(p) for p in parts):
+            if ln == 1 and not any(_is_number(p) for p in parts):
                 continue
-            if len(parts) != 3:
-                raise ValueError(f"line {ln + 1}: expected src,dst,weight")
+            if len(parts) != n_fields:
+                raise ValueError(f"line {ln}: expected {fields}")
             try:
-                src.append(int(parts[0]))
-                dst.append(int(parts[1]))
-                w.append(float(parts[2]))
+                values.extend(convert(parts))
             except ValueError:
-                raise ValueError(f"line {ln + 1}: expected integer src and "
-                                 f"dst ids and a weight: {line!r}") from None
-    if not src:
+                raise ValueError(f"line {ln}: {invalid}: {line!r}") from None
+    return values
+
+
+def _two_ids_and_weight(parts):
+    return int(parts[0]), int(parts[1]), float(parts[2])
+
+
+def load_graph_csv(path):
+    values = _csv_values(path, "src,dst,weight", _two_ids_and_weight,
+                         "expected integer src and dst ids and a weight")
+    if not values:
         raise ValueError("edge list is empty")
+    src, dst, w = values[0::3], values[1::3], values[2::3]
     n = max(max(src), max(dst)) + 1
     return SparseGraph.from_edges(n, src, dst, w)
 
@@ -100,18 +118,8 @@ def save_signal_csv(path, values, header="value"):
 
 
 def load_signal_csv(path):
-    out = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(float(line))
-            except ValueError:
-                if ln == 0:
-                    continue
-                raise ValueError(f"line {ln + 1}: not a number: {line!r}")
+    out = _csv_values(path, "value", lambda p: (float(p[0]),),
+                      "not a number")
     if not out:
         raise ValueError("signal file is empty")
     return np.array(out)
@@ -125,20 +133,10 @@ def save_cdf_csv(path, cdf):
 
 
 def load_cdf_csv(path):
-    grid, values = [], []
-    with open(path) as fh:
-        for ln, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if ln == 0 and not _is_number(parts[0]):
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"line {ln + 1}: expected z,value")
-            grid.append(float(parts[0]))
-            values.append(float(parts[1]))
-    return SpectralCDF(grid=np.array(grid), values=np.array(values))
+    flat = _csv_values(path, "z,value", lambda p: (float(p[0]), float(p[1])),
+                       "expected numeric z and value")
+    grid, values = np.array(flat, dtype=np.float64).reshape(-1, 2).T.copy()
+    return SpectralCDF(grid=grid, values=values)
 
 
 def _is_number(s):
@@ -162,30 +160,15 @@ def save_centers_csv(path, centers):
 
 
 def load_centers_csv(path, n_bands=None):
-    rows = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            # only a first line without a single number is a header
-            if ln == 0 and not any(_is_number(p) for p in parts):
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"line {ln + 1}: expected band,vertex,weight")
-            try:
-                rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ValueError(f"line {ln + 1}: expected integer band and "
-                                 f"vertex ids and a weight: {line!r}") \
-                    from None
-    if not rows:
+    values = _csv_values(path, "band,vertex,weight", _two_ids_and_weight,
+                         "expected integer band and vertex ids and a weight")
+    if not values:
         raise ValueError("center file is empty")
-    nb = (max(r[0] for r in rows) + 1) if n_bands is None else n_bands
+    bands = values[0::3]
+    nb = (max(bands) + 1) if n_bands is None else n_bands
     sets = [[] for _ in range(nb)]
     wts = [[] for _ in range(nb)]
-    for band, vertex, weight in rows:
+    for band, vertex, weight in zip(bands, values[1::3], values[2::3]):
         if not 0 <= band < nb:
             raise ValueError(f"band {band} out of range")
         sets[band].append(vertex)

@@ -86,8 +86,7 @@ def sure_threshold_band(alpha, norms, sigma, candidates=None):
     return float(candidates[int(np.argmin(obj))])
 
 
-def sure_thresholds(coeffs, norms, sigma, scaling_bands=(),
-                    candidates=None):
+def sure_thresholds(coeffs, norms, sigma, scaling_bands=()):
     """Per-band thresholds; bands passing DC are exempt (threshold zero).
 
     Scaling-type coefficients carry the signal's local mean, whose
@@ -105,8 +104,7 @@ def sure_thresholds(coeffs, norms, sigma, scaling_bands=(),
         ok = n > 0
         if not np.any(ok):
             continue
-        out[j] = sure_threshold_band(a[ok], n[ok], sigma,
-                                     candidates=candidates)
+        out[j] = sure_threshold_band(a[ok], n[ok], sigma)
     return out
 
 
@@ -130,8 +128,6 @@ class DenoiseConfig:
     frame_iterations: int = 10
     norm_probes: int = 50
     norm_seed: int = 0
-    candidates: np.ndarray | None = None
-    bounds_basis: str | None = None
 
 
 def _atom_norms(d, cfg):
@@ -141,20 +137,23 @@ def _atom_norms(d, cfg):
                               seed=cfg.norm_seed)
 
 
-def _reconstruct(d, coeffs, cfg):
-    if cfg.inverse == "cg":
-        return inverse_cg(d, coeffs, tol=cfg.cg_tol,
-                          max_iter=cfg.cg_max_iter)
-    basis = cfg.bounds_basis or ("exact_sigma" if d.mode == "exact"
-                                 else "grid")
-    bounds = frame_bounds(d, basis=basis)
-    if cfg.inverse == "frame_iter":
-        f = inverse_frame_iteration(d, coeffs, bounds,
-                                    cfg.frame_iterations)
-        return f, None
-    if cfg.inverse == "single_pass":
-        return inverse_single_pass(d, coeffs, bounds), None
-    raise ValueError(f"unknown inverse {cfg.inverse!r}")
+def reconstruct(d, coeffs, method="cg", tol=1e-10, max_iter=1000,
+                n_iter=10):
+    """Signal from coefficients by 'cg', 'frame_iter' or 'single_pass'.
+
+    Returns the estimate and the CG info (None for the other two).  The
+    frame-bound methods take bounds at the true eigenvalues in exact mode
+    and on a grid of [0, lambda_bar] in poly mode.
+    """
+    if method == "cg":
+        return inverse_cg(d, coeffs, tol=tol, max_iter=max_iter)
+    if method not in ("frame_iter", "single_pass"):
+        raise ValueError(f"unknown inverse {method!r}")
+    bounds = frame_bounds(d, basis="exact_sigma" if d.mode == "exact"
+                          else "grid")
+    if method == "frame_iter":
+        return inverse_frame_iteration(d, coeffs, bounds, n_iter), None
+    return inverse_single_pass(d, coeffs, bounds), None
 
 
 def denoise(d, noisy, cfg):
@@ -166,10 +165,11 @@ def denoise(d, noisy, cfg):
     coeffs = analysis(d, noisy)
     norms = _atom_norms(d, cfg)
     thresholds = sure_thresholds(coeffs, norms, cfg.sigma,
-                                 scaling_bands=d.bank.scaling_indices(),
-                                 candidates=cfg.candidates)
+                                 scaling_bands=d.bank.scaling_indices())
     shrunk = soft_threshold(coeffs, norms, cfg.sigma, thresholds)
-    fhat, info = _reconstruct(d, shrunk, cfg)
+    fhat, info = reconstruct(d, shrunk, cfg.inverse, tol=cfg.cg_tol,
+                             max_iter=cfg.cg_max_iter,
+                             n_iter=cfg.frame_iterations)
     report = {"thresholds": thresholds, "norms": norms, "solver": info}
     return fhat, report
 
@@ -297,6 +297,8 @@ def _hard_threshold_curve(d, f, budgets, cfg=None):
             bands.append(np.where(mask, coeffs.bands[j], 0.0))
             offset += size
         kept = coeffs.copy_with(bands)
-        fhat, info = _reconstruct(d, kept, cfg)
+        fhat, info = reconstruct(d, kept, cfg.inverse, tol=cfg.cg_tol,
+                                 max_iter=cfg.cg_max_iter,
+                                 n_iter=cfg.frame_iterations)
         out.append((fhat, kept, info))
     return out

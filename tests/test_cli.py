@@ -11,7 +11,11 @@ import pytest
 
 import lsgf
 from lsgf.cli import main
+from lsgf.filters import make_sgwt
+from lsgf.frames import (dictionary_exact, dictionary_poly, frame_bounds,
+                         inverse_frame_iteration, inverse_single_pass)
 from lsgf.generators import grid_graph
+from lsgf.graphs import build_laplacian, eigendecompose
 from lsgf.io import (load_cdf_csv, load_centers_csv, load_coefficients,
                      load_graph, load_signal_csv, save_graph_csv)
 
@@ -65,6 +69,34 @@ def test_transform_inverse_roundtrip(workspace):
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert lines[0] == "band,vertex,value"
     assert len(lines) == 1 + 6 * 50  # default bank has six bands
+
+
+@pytest.mark.parametrize("mode", ["exact", "poly"])
+def test_inverse_frame_methods_match_library(workspace, mode):
+    # frame-iter and single-pass take the frame bounds of the mode's basis:
+    # the true eigenvalues in exact mode, a grid in poly mode
+    tmp_path, g, f = workspace
+    c = tmp_path / "c.lsgc"
+    r = tmp_path / "r.csv"
+    flags = ["--design", "sgwt", "--n-bands", "4", "--mode", mode]
+    assert main(["transform", "--graph", str(g), "--signal", str(f),
+                 "--out", str(c), *flags]) == 0
+    lap = build_laplacian(load_graph(g), kind="combinatorial")
+    bank = make_sgwt(lap.lambda_max_bound, 4, k_scale=20.0)
+    if mode == "exact":
+        d = dictionary_exact(lap, bank, eigendecompose(lap))
+        bounds = frame_bounds(d, basis="exact_sigma")
+    else:
+        d = dictionary_poly(lap, bank, 40)
+        bounds = frame_bounds(d, basis="grid")
+    coeffs = load_coefficients(c, lap.n)
+    want = {"frame-iter": inverse_frame_iteration(d, coeffs, bounds, 3),
+            "single-pass": inverse_single_pass(d, coeffs, bounds)}
+    for method, expect in want.items():
+        assert main(["inverse", "--graph", str(g), "--coefficients", str(c),
+                     "--method", method, "--iterations", "3",
+                     "--out", str(r), *flags]) == 0
+        assert np.array_equal(load_signal_csv(r), expect), method
 
 
 def test_critically_sampled_ideal_roundtrip(tmp_path):
@@ -303,6 +335,10 @@ def test_malformed_input_exits_2(workspace, capsys):
     cen_float.write_text("1.0,2,0.5\n0,3,0.5\n")
     graph_float = tmp / "graph_float.csv"
     graph_float.write_text("1.5,2,1.0\n0,1,1.0\n")
+    cdf_bad = tmp / "cdf_bad.csv"
+    cdf_bad.write_text("0.0x,0.0\n0.5,0.4\n1.0,1.0\n")
+    signal_bad = tmp / "signal_bad.csv"
+    signal_bad.write_text("0.5,1\n" + "1.0\n" * 50)
     bank = ["--design", "itersine", "--n-bands", "3"]
     bad = [
         ["transform", "--graph", str(g), "--signal", str(f), "--centers",
@@ -311,6 +347,10 @@ def test_malformed_input_exits_2(workspace, capsys):
          str(cen_float), "--out", str(tmp / "c.lsgc"), *bank],
         ["spectrum-cdf", "--graph", str(graph_float), "--out",
          str(tmp / "cdf.csv")],
+        ["design", "--graph", str(g), "--warp", "spectrum_cdf",
+         "--cdf-file", str(cdf_bad), "--out", str(tmp / "bank.csv"), *bank],
+        ["transform", "--graph", str(g), "--signal", str(signal_bad),
+         "--out", str(tmp / "c.lsgc"), *bank],
         ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "2"],
         ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "-1"],
         ["generate", "--kind", "erdos-renyi", "--n", "0"],

@@ -1,11 +1,14 @@
 """Dictionaries, frame bounds and the three inverse transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsgf import _kernels
+from lsgf.chebyshev import poly_atom
 from lsgf.filters import (Kernel, FilterBank, make_ideal_partition,
                           make_sgwt, make_uniform_translates)
 from lsgf.frames import (Coefficients, analysis, atom_norm_estimate,
@@ -287,6 +290,66 @@ def test_atoms_match_band_matrix(setup):
     assert mat.shape == (g.n, 3 * g.n)
     # band-major layout with ascending centers
     assert np.allclose(mat[:, g.n + 7], bm[:, 7], atol=1e-12)
+
+
+def test_poly_atom_matrices_match_poly_atoms():
+    # more vertices than one identity block, a band without centers and
+    # one whose centers end in a partial block
+    g = sensor_graph(300, seed=4)
+    lap = build_laplacian(g, kind="combinatorial")
+    centers = [np.arange(g.n), np.arange(0, g.n, 7), np.array([], int),
+               np.array([5, 299])]
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 20,
+                        centers=centers)
+    cols = [np.column_stack([poly_atom(d.approx[j], lap, i) for i in c])
+            if c.size else np.zeros((g.n, 0)) for j, c in enumerate(centers)]
+    assert np.array_equal(d.materialize(), np.hstack(cols))
+    norms = atom_norms_exact(d)
+    for j, (c, want) in enumerate(zip(centers, cols)):
+        dense = np.column_stack([poly_atom(d.approx[j], lap, i)
+                                 for i in range(g.n)])
+        assert np.allclose(d.band_matrix(j), dense, rtol=0, atol=1e-12)
+        assert norms[j].shape == (c.size,)
+        assert np.allclose(norms[j], np.linalg.norm(want, axis=0), rtol=0,
+                           atol=1e-12)
+
+
+def test_exact_atom_matrices_match_dense_formula(setup):
+    g, lap, eig, f = setup
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    centers = [np.arange(g.n), np.array([3, 17]), np.array([], int),
+               np.arange(0, g.n, 5)]
+    d = dictionary_exact(lap, bank, eig, centers=centers)
+    u = eig.vectors
+    dense = [(u * k(eig.values)) @ u.T for k in bank.kernels]
+    norms = atom_norms_exact(d)
+    for j, c in enumerate(centers):
+        assert np.allclose(d.band_matrix(j), dense[j], rtol=0, atol=1e-12)
+        want = np.linalg.norm(dense[j][:, c], axis=0)
+        assert norms[j].shape == (c.size,)
+        assert np.allclose(norms[j], want, rtol=0, atol=1e-12)
+    want = np.hstack([m[:, c] for m, c in zip(dense, centers)])
+    assert np.allclose(d.materialize(), want, rtol=0, atol=1e-12)
+
+
+def test_poly_atom_norms_stay_below_dense_memory():
+    # the norms come from blocks of identity columns, so the traced peak
+    # stays below one N x N float64 array (72 MB at N = 3000)
+    g = sensor_graph(3000, seed=2)
+    lap = build_laplacian(g, kind="combinatorial")
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 2), 6)
+    tracemalloc.start()
+    try:
+        norms = atom_norms_exact(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.n * g.n
+    probe = [0, 1234, 2999]
+    for j in range(d.n_bands):
+        want = [np.linalg.norm(poly_atom(d.approx[j], lap, i))
+                for i in probe]
+        assert np.allclose(norms[j][probe], want, rtol=0, atol=1e-12)
 
 
 def test_poly_atoms_close_to_exact(setup):

@@ -96,7 +96,11 @@ def test_signal_roundtrip(tmp_path):
 def test_signal_rejects_junk(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("value\n1.5\nnot-a-number\n")
-    with pytest.raises(ValueError, match="not a number"):
+    with pytest.raises(ValueError, match="line 3: not a number"):
+        load_signal_csv(p)
+    # a first line holding any number is a data row, never a header
+    p.write_text("0.5,1\n2.0\n3.0\n")
+    with pytest.raises(ValueError, match="line 1: expected value"):
         load_signal_csv(p)
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
@@ -114,6 +118,25 @@ def test_cdf_roundtrip(tmp_path):
     assert np.array_equal(got.values, cdf.values)
     z = np.linspace(0, cdf.lambda_bar, 37)
     assert np.allclose(got(z), cdf(z), atol=1e-14)
+
+
+def test_cdf_csv_rejects_malformed(tmp_path):
+    p = tmp_path / "cdf.csv"
+    # a first line holding any number is a data row, never a header, and
+    # every conversion failure names its line
+    for text, line in (("0.0x,0.0\n0.5,0.4\n1.0,1.0\n", 1),
+                       ("z,value\n0.0,0.0\n0.5,oops\n1.0,1.0\n", 3)):
+        p.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"line {line}: expected numeric z and value"):
+            load_cdf_csv(p)
+    p.write_text("z,value\n0.0,0.0\n0.5\n")
+    with pytest.raises(ValueError, match="line 3: expected z,value"):
+        load_cdf_csv(p)
+    p.write_text("z,value\n0.0,0.0\n0.5,0.4\n1.0,1.0\n")
+    got = load_cdf_csv(p)
+    assert got.grid.tolist() == [0.0, 0.5, 1.0]
+    assert got.values.tolist() == [0.0, 0.4, 1.0]
 
 
 def test_centers_roundtrip(tmp_path):
