@@ -1,6 +1,7 @@
 """Graph containers, Laplacians and eigendecompositions on small oracles."""
 
 import hashlib
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from lsgf.generators import (clique_chain_graph, cycle_graph,
                              erdos_renyi_graph, grid_graph, path_graph,
                              sensor_graph)
+from lsgf import _kernels
 from lsgf.graphs import (SparseGraph, as_signal, build_laplacian,
                          eigendecompose, lanczos_lambda_max, quadratic_form)
 
@@ -261,6 +263,87 @@ def test_lanczos_upper_bound_close():
         est = lanczos_lambda_max(lap, seed=seed)
         assert true_top <= est <= 1.05 * true_top
         assert est <= lap.lambda_max_bound + 1e-9
+
+
+def _reorthogonalized_top_ritz(lap, steps, seed):
+    """Top Ritz value of Lanczos with full Gram-Schmidt, done twice."""
+    n = lap.n
+    steps = min(steps, n)
+    v = np.random.default_rng(seed).standard_normal(n)
+    v /= np.linalg.norm(v)
+    basis = np.zeros((steps, n))
+    alphas, betas = [], []
+    for k in range(steps):
+        basis[k] = v
+        w = lap.matvec(v)
+        alphas.append(v @ w)
+        for _ in range(2):
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        beta = np.linalg.norm(w)
+        if k == steps - 1 or beta <= 1e-12 * lap.lambda_max_bound:
+            break
+        betas.append(beta)
+        v = w / beta
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    return np.linalg.eigvalsh(t)[-1]
+
+
+def test_lanczos_top_ritz_matches_reorthogonalized_reference():
+    # a doubled recorded bound lifts the cap, so the estimate is 1.01 times
+    # the top Ritz value of the three-term recurrence
+    cases = [(sensor_graph(2000, seed=4), 30), (grid_graph(60, 60), 30),
+             (erdos_renyi_graph(400, 0.03, seed=2), 30)]
+    cases += [(path_graph(n), steps) for n in (2, 3, 5, 12)
+              for steps in (n, 30)]
+    for g, steps in cases:
+        lap = build_laplacian(g, kind="combinatorial")
+        for seed in (0, 1):
+            est = lanczos_lambda_max(
+                lap.with_lambda_bound(2 * lap.lambda_max_bound), steps, seed)
+            ref = _reorthogonalized_top_ritz(lap, steps, seed)
+            assert est / 1.01 == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_lanczos_makes_one_product_per_step(monkeypatch):
+    calls = []
+    product = _kernels.csr_matvec
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(_kernels, "csr_matvec", counted)
+    for g, steps, expect in ((grid_graph(30, 30), 30, 30),
+                             (sensor_graph(500, seed=1), 17, 17),
+                             (path_graph(5), 30, 5)):
+        lap = build_laplacian(g, kind="combinatorial")
+        calls.clear()
+        lanczos_lambda_max(lap, steps=steps)
+        assert len(calls) == expect
+
+
+def test_lanczos_memory_is_a_few_vectors():
+    # a stored Lanczos basis of 30 steps alone would be 30 N-vectors
+    lap = build_laplacian(grid_graph(200, 200), kind="combinatorial")
+    tracemalloc.start()
+    try:
+        lanczos_lambda_max(lap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * lap.n * 8
+
+
+def test_lanczos_breakdown_test_is_scale_free():
+    # with an absolute breakdown threshold, weights of 1e-13 stopped the
+    # recurrence after one step and the interval missed half the spectrum
+    src = np.arange(199)
+    for scale in (1e-13, 1.0, 1e8):
+        g = SparseGraph.from_edges(200, src, src + 1, np.full(199, scale))
+        lap = build_laplacian(g, kind="combinatorial")
+        true_top = eigendecompose(lap).values[-1]
+        est = lanczos_lambda_max(lap)
+        assert true_top <= est <= 1.05 * true_top
 
 
 def test_with_lambda_bound():
