@@ -3,8 +3,12 @@
 The graph operator arrives as raw CSR arrays (indptr, indices, data).  Every
 Chebyshev entry point runs the same three-term recurrence for
 S = (A - center I) / half and differs only in what it accumulates from the
-vectors T_k(S) x.  Results are deterministic: the sparse product sums each
-row in storage order.
+vectors T_k(S) x.  Each call first builds M = 2 S once (shifted_csr): a new
+data array on A's own indptr and indices, the stored diagonal shifted in
+place, so a recurrence step is one sparse product and one vector pass,
+T_k+1 x = M T_k x - T_k-1 x, rather than a product and five passes that
+shift and scale it.  Results are deterministic: the sparse product sums
+each row in storage order.
 
 Moments mu_k = x . T_k(S) x take half the recurrence.  Since
 T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 and S is symmetric,
@@ -22,10 +26,22 @@ one-column group runs the (N,) path, so each column of a block equals the
 call on that column alone bit for bit.  With W = 1 or B = 1 the call runs
 inline.  Workers call only private helpers and make no BLAS call: BLAS runs
 threads of its own, and sharing the CPUs with them slowed the recurrences.
+
+The calling thread keeps to the same rule on request paths: single-vector
+reductions (dots, norms, CG's inner products, the Clenshaw coefficient
+combinations) go through the einsum _dot and _norm here, not BLAS.  After
+one threaded BLAS ddot of 10k or more entries, or a gemv such as a
+(6,) @ (6, 90000) product, an OpenBLAS helper thread spins for about
+130 ms of CPU (13 ticks in /proc/self/task/*/stat) on the CPU that the
+second worker needs; a 2-column filter_all on a 20k-vertex sensor graph
+(J = 6, K = 40) then took 23-29 ms instead of 15-18 ms (2 CPUs).  Dense
+products with real work, such as exact mode's eigenvector transforms and
+OMP, keep BLAS.
 """
 
 import os
 import threading
+import weakref
 
 import numpy as np
 import scipy.sparse
@@ -113,52 +129,94 @@ def csr_matvec(indptr, indices, data, x):
     return _operator(indptr, indices, data) @ x
 
 
-def _chebyshev_vectors(a, n_terms, center, half, x):
-    """Yield T_k(S) x for k = 0 .. n_terms-1."""
+def _dot(u, v):
+    return np.einsum("i...,i...->...", u, v)
+
+
+def _norm(u):
+    return np.sqrt(_dot(u, u))
+
+
+# (indptr, indices) weak references and the diagonal positions found in
+# them: every kernel call on a Laplacian reuses one N-vector of positions
+# rather than scanning its nnz indices again.  The package never modifies
+# CSR index arrays in place, so identity is a sound key.
+_diagonal_cache = (None, None, None)
+
+
+def _diagonal(indptr, indices):
+    """Position in the CSR arrays of each row's diagonal entry, or None when
+    some row stores none."""
+    global _diagonal_cache
+    ptr_ref, idx_ref, pos = _diagonal_cache
+    if ptr_ref is None or ptr_ref() is not indptr \
+            or idx_ref() is not indices:
+        n = indptr.shape[0] - 1
+        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+        hit = np.flatnonzero(indices == rows)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[rows[hit]] = hit
+        pos = pos if np.all(pos >= 0) else None
+        _diagonal_cache = (weakref.ref(indptr), weakref.ref(indices), pos)
+    return pos
+
+
+def shifted_csr(indptr, indices, data, center, half):
+    """CSR arrays of M = 2 (A - center I) / half = 2 S.
+
+    M shares A's indptr and indices when every row stores its diagonal, as
+    build_laplacian's rows do; otherwise scipy inserts the missing entries.
+    """
+    scale = 2.0 / half
+    pos = _diagonal(indptr, indices)
+    if pos is None:
+        m = (_operator(indptr, indices, data) * scale
+             - scipy.sparse.identity(indptr.shape[0] - 1) * (center * scale)
+             ).tocsr()
+        return m.indptr, m.indices, m.data
+    m = np.multiply(data, scale)
+    m[pos] -= center * scale
+    return indptr, indices, m
+
+
+def _chebyshev_vectors(m, n_terms, x):
+    """Yield T_k(S) x for k = 0 .. n_terms-1, m the operator M = 2 S."""
     t0 = np.array(x, dtype=np.float64)
     yield t0
     if n_terms == 1:
         return
-    # in place, so that a worker holds few temporaries; the operations and
-    # their order are those of 2.0 * (a @ t1 - center * t1) / half - t0
-    shifted = np.empty_like(t0)
-    t1 = a @ t0
-    t1 -= np.multiply(center, t0, out=shifted)
-    t1 /= half
+    t1 = m @ t0
+    t1 *= 0.5
     yield t1
     for _ in range(2, n_terms):
-        t2 = a @ t1
-        t2 -= np.multiply(center, t1, out=shifted)
-        t2 *= 2.0
-        t2 /= half
+        # one sparse product and one vector pass per step
+        t2 = m @ t1
         t2 -= t0
         yield t2
         t0, t1 = t1, t2
 
 
-def _stack(a, coeff_rows, center, half, out, x):
-    vectors = _chebyshev_vectors(a, coeff_rows.shape[1], center, half, x)
+def _stack(m, coeff_rows, out, x):
+    vectors = _chebyshev_vectors(m, coeff_rows.shape[1], x)
     for k, (c, t) in enumerate(zip(coeff_rows.T, vectors)):
-        # row by row, so that a worker holds no (J, N) temporary
+        # row by row through one temporary, so that a worker holds no
+        # (J, N) temporary and allocates nothing per row
+        if k == 1:
+            scaled = np.empty_like(t)
         for j in range(c.size):
             if k == 0:
                 np.multiply(c[j], t, out=out[j])
             else:
-                out[j] += c[j] * t
+                out[j] += np.multiply(c[j], t, out=scaled)
 
 
-def _dot(u, v):
-    return np.einsum("i...,i...->...", u, v)
-
-
-def _moments(a, center, half, out, x):
+def _moments(m, out, x):
     # mu_0 and mu_1 directly, the rest by the doubling identities above
     n = out.shape[0]
     if n == 0:
         return
     prev = None
-    for k, t in enumerate(_chebyshev_vectors(a, n // 2 + 1, center, half,
-                                             x)):
+    for k, t in enumerate(_chebyshev_vectors(m, n // 2 + 1, x)):
         if k == 0:
             out[0] = _dot(t, t)
         elif k == 1:
@@ -171,9 +229,8 @@ def _moments(a, center, half, out, x):
 
 
 def _apply(indptr, indices, data, coeff_rows, center, half, x, out):
-    a = _operator(indptr, indices, data)
-    return _by_columns(
-        lambda o, xg: _stack(a, coeff_rows, center, half, o, xg), out, x)
+    m = _operator(*shifted_csr(indptr, indices, data, center, half))
+    return _by_columns(lambda o, xg: _stack(m, coeff_rows, o, xg), out, x)
 
 
 def cheb_apply(indptr, indices, data, coeffs, center, half, x):
@@ -209,6 +266,5 @@ def cheb_moments(indptr, indices, data, n_moments, center, half, x):
     """
     x = np.asarray(x)
     out = np.empty((n_moments,) + x.shape[1:])
-    a = _operator(indptr, indices, data)
-    return _by_columns(lambda o, xg: _moments(a, center, half, o, xg), out,
-                       x)
+    m = _operator(*shifted_csr(indptr, indices, data, center, half))
+    return _by_columns(lambda o, xg: _moments(m, o, xg), out, x)

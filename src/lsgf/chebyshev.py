@@ -127,8 +127,9 @@ def apply_poly_bank_adjoint(approxes, lap, u):
     """sum_j p_j(L) u_j for a (J, N) block: the adjoint of apply_poly_bank.
 
     Clenshaw's recurrence with vector coefficients a_k = sum_j c_jk u_j,
-    b_k = a_k + 2 S b_{k+1} - b_{k+2}, result a_0 + S b_1 - b_2, costs K
-    sparse products for the whole bank instead of K per band.
+    b_k = a_k + M b_{k+1} - b_{k+2} with M = 2S, result
+    a_0 + M b_1 / 2 - b_2, costs K sparse products for the whole bank
+    instead of K per band.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (len(approxes), lap.n):
@@ -137,17 +138,23 @@ def apply_poly_bank_adjoint(approxes, lap, u):
     if not approxes:
         return np.zeros(lap.n)
     rows, half = _bank_rows(approxes, lap)
-
-    def scaled(b):
-        lb = _kernels.csr_matvec(lap.indptr, lap.indices, lap.data, b)
-        return (lb - half * b) / half
-
-    b1, b2 = rows[:, -1] @ u, np.zeros(lap.n)
-    for k in range(rows.shape[1] - 2, 0, -1):
-        b1, b2 = rows[:, k] @ u + 2.0 * scaled(b1) - b2, b1
+    # the kernels' einsum rather than a BLAS gemv: a (J,) @ (J, N) product
+    # on a 90k-vertex graph wakes BLAS threads that then spin on the CPUs
+    b1 = _kernels._dot(rows[:, -1], u)
     if rows.shape[1] == 1:
         return b1
-    return rows[:, 0] @ u + scaled(b1) - b2
+    m = _kernels.shifted_csr(lap.indptr, lap.indices, lap.data, half, half)
+    b2 = np.zeros(lap.n)
+    for k in range(rows.shape[1] - 2, 0, -1):
+        b = _kernels.csr_matvec(*m, b1)
+        b -= b2
+        b += _kernels._dot(rows[:, k], u)
+        b1, b2 = b, b1
+    out = _kernels.csr_matvec(*m, b1)
+    out *= 0.5
+    out -= b2
+    out += _kernels._dot(rows[:, 0], u)
+    return out
 
 
 def sup_error(p, kernel, n_grid=2000):

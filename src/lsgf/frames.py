@@ -46,7 +46,8 @@ class Coefficients:
         return int(sum(v.size for v in self.bands))
 
     def norm(self):
-        return float(np.sqrt(sum(float(v @ v) for v in self.bands)))
+        return float(np.sqrt(sum(float(_kernels._dot(v, v))
+                                 for v in self.bands)))
 
     def copy_with(self, bands):
         return Coefficients(bands=[np.asarray(b, dtype=np.float64)
@@ -127,8 +128,11 @@ class Dictionary:
         self.bank = bank
         self.mode = mode
         if centers is None:
-            centers = [np.arange(lap.n)] * bank.n_kernels
-        self.centers = _check_centers(lap.n, bank.n_kernels, centers)
+            # complete: one index array, valid by construction, for all
+            # bands rather than a sorted copy per band
+            self.centers = [np.arange(lap.n)] * bank.n_kernels
+        else:
+            self.centers = _check_centers(lap.n, bank.n_kernels, centers)
         self.eig = eig
         self.approx = approx
         if mode == "exact":
@@ -154,13 +158,13 @@ class Dictionary:
         return all(c.size == self.lap.n for c in self.centers)
 
     def _fingerprint(self):
+        # arrays go to the hash as buffers: tobytes() would copy each one
         h = hashlib.sha256()
         h.update(self.mode.encode())
         h.update(self.lap.kind.encode())
         h.update(np.int64(self.lap.n).tobytes())
-        h.update(self.lap.indptr.tobytes())
-        h.update(self.lap.indices.tobytes())
-        h.update(self.lap.data.tobytes())
+        for a in (self.lap.indptr, self.lap.indices, self.lap.data):
+            h.update(np.ascontiguousarray(a))
         h.update(self.bank.design.encode())
         for g in self.bank.kernels:
             h.update(g.family.encode())
@@ -172,9 +176,9 @@ class Dictionary:
                 h.update(repr(g.warp.nu).encode())
         if self.approx is not None:
             for p in self.approx:
-                h.update(p.coeffs.tobytes())
+                h.update(np.ascontiguousarray(p.coeffs))
         for c in self.centers:
-            h.update(c.tobytes())
+            h.update(np.ascontiguousarray(c))
         return h.hexdigest()
 
     def frame_symbol(self):
@@ -388,31 +392,32 @@ def solve_cg(op, b, tol, max_iter, precond=None):
     iterations, or on vanishing curvature, and returns the iterate with the
     smallest relative residual together with convergence info.
     """
-    bnorm = np.linalg.norm(b)
+    # the kernels' einsum reductions: see _kernels on BLAS threads
+    bnorm = _kernels._norm(b)
     if bnorm == 0:
         return np.zeros_like(b), InverseInfo(True, 0, 0.0)
     x = np.zeros_like(b)
     r = b.copy()
     z = r if precond is None else precond(r)
     p = z.copy()
-    rz = float(r @ z)
-    best_x, best_res = x.copy(), np.linalg.norm(r) / bnorm
+    rz = float(_kernels._dot(r, z))
+    best_x, best_res = x.copy(), _kernels._norm(r) / bnorm
     it = 0
     for it in range(1, max_iter + 1):
         ap = op(p)
-        denom = float(p @ ap)
+        denom = float(_kernels._dot(p, ap))
         if denom <= 0:
             break
         alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * ap
-        rel = np.linalg.norm(r) / bnorm
+        rel = _kernels._norm(r) / bnorm
         if rel < best_res:
             best_res, best_x = rel, x.copy()
         if rel <= tol:
             return best_x, InverseInfo(True, it, best_res)
         z = r if precond is None else precond(r)
-        rz_new = float(r @ z)
+        rz_new = float(_kernels._dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     return best_x, InverseInfo(False, it, best_res)
@@ -488,10 +493,14 @@ def atom_norm_estimate(d, n_probes=50, seed=0):
             [np.random.default_rng([seed, t]).standard_normal(d.lap.n)
              for t in ts]))
         for b, t in enumerate(ts):
+            # m2 += delta * (sample - mean) with the sample's own slice as
+            # scratch: one (J, N) temporary fewer, the same arithmetic
             sample = samples[..., b]
             delta = sample - mean
             mean += delta / (t + 1)
-            m2 += delta * (sample - mean)
+            sample -= mean
+            delta *= sample
+            m2 += delta
     return [np.sqrt(m2[j][d.centers[j]] / (n_probes - 1))
             for j in range(d.n_bands)]
 

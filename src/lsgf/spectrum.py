@@ -193,7 +193,7 @@ def _dc_direction(lap):
         d = np.sqrt(lap.graph.degrees()) if lap.graph is not None else None
         if d is None:
             raise ValueError("normalized energy CDF needs the source graph")
-        return d / np.linalg.norm(d)
+        return d / _kernels._norm(d)
     return np.full(lap.n, 1.0 / np.sqrt(lap.n))
 
 
@@ -224,11 +224,12 @@ def estimate_energy_cdf(lap, signals, mode="stochastic", eig=None, n_grid=50,
     rows = np.empty_like(y)
     for t in range(y.shape[0]):
         yt = as_signal(lap.n, y[t])
-        nrm = np.linalg.norm(yt)
+        # the kernels' einsum reductions: see _kernels on BLAS threads
+        nrm = _kernels._norm(yt)
         if nrm == 0:
             raise ValueError(f"training signal {t} is identically zero")
-        yc = yt - dc * (dc @ yt)
-        if np.linalg.norm(yc) <= 1e-12 * nrm:
+        yc = yt - dc * _kernels._dot(dc, yt)
+        if _kernels._norm(yc) <= 1e-12 * nrm:
             raise ValueError(f"training signal {t} is constant (DC only)")
         rows[t] = yc / nrm
     den = float(np.sum(rows ** 2))

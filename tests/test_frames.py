@@ -1,5 +1,6 @@
 """Dictionaries, frame bounds and the three inverse transforms."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from lsgf import _kernels
 from lsgf.chebyshev import poly_atom
 from lsgf.filters import (Kernel, FilterBank, make_ideal_partition,
-                          make_sgwt, make_uniform_translates)
+                          make_log_warped_translates, make_sgwt,
+                          make_uniform_translates)
 from lsgf.frames import (Coefficients, analysis, atom_norm_estimate,
                          atom_norms_exact, cumulative_coherence,
                          dictionary_exact, dictionary_poly, frame_bounds,
@@ -279,6 +281,46 @@ def test_token_sensitivity(setup):
     sub = [np.arange(10)] * 4
     assert dictionary_exact(lap, bank, eig, centers=sub).token != d1.token
 
+
+def _tobytes_digest(d):
+    # the token's formula written with a tobytes() copy of every array
+    h = hashlib.sha256()
+    h.update(d.mode.encode())
+    h.update(d.lap.kind.encode())
+    h.update(np.int64(d.lap.n).tobytes())
+    h.update(d.lap.indptr.tobytes())
+    h.update(d.lap.indices.tobytes())
+    h.update(d.lap.data.tobytes())
+    h.update(d.bank.design.encode())
+    for g in d.bank.kernels:
+        h.update(g.family.encode())
+        for key in sorted(g.params):
+            h.update(key.encode())
+            h.update(repr(g.params[key]).encode())
+        if g.warp is not None:
+            h.update(g.warp.kind.encode())
+            h.update(repr(g.warp.nu).encode())
+    if d.approx is not None:
+        for p in d.approx:
+            h.update(p.coeffs.tobytes())
+    for c in d.centers:
+        h.update(c.tobytes())
+    return h.hexdigest()
+
+
+def test_token_digest_is_the_tobytes_formula(setup):
+    # hashing the arrays' buffers gives the digest of their byte copies
+    g, lap, eig, f = setup
+    sgwt = make_sgwt(lap.lambda_max_bound, 4)
+    warped = make_log_warped_translates(lap.lambda_max_bound, 4)
+    sub = [np.arange(0, lap.n, 3), np.arange(5), np.array([7, 2]),
+           np.arange(lap.n)]
+    for d in (dictionary_exact(lap, sgwt, eig),
+              dictionary_poly(lap, sgwt, 20),
+              dictionary_poly(lap, warped, 15, jackson=True),
+              dictionary_exact(lap, warped, eig, centers=sub),
+              dictionary_poly(lap, sgwt, 20, centers=sub)):
+        assert d.token == _tobytes_digest(d)
 
 def test_atoms_match_band_matrix(setup):
     g, lap, eig, f = setup

@@ -2,20 +2,25 @@
 
 import os
 import signal
+import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
 from lsgf import _kernels
 from lsgf.chebyshev import ChebyshevApprox, apply_poly_bank_adjoint
 from lsgf.filters import make_sgwt
-from lsgf.frames import atom_norm_estimate, dictionary_exact, dictionary_poly
-from lsgf.generators import erdos_renyi_graph, path_graph, sensor_graph
-from lsgf.graphs import build_laplacian, eigendecompose
+from lsgf.frames import (analysis, atom_norm_estimate, dictionary_exact,
+                         dictionary_poly, inverse_cg, synthesis)
+from lsgf.generators import (erdos_renyi_graph, grid_graph, path_graph,
+                             sensor_graph)
+from lsgf.graphs import Laplacian, SparseGraph, build_laplacian, eigendecompose
 from lsgf.sampling import nonuniform_weights
 from lsgf.spectrum import estimate_energy_cdf, estimate_spectral_cdf
 
@@ -123,6 +128,104 @@ def test_operator_shares_laplacian_index_arrays(lap):
         assert np.shares_memory(mine, theirs)
 
 
+def _without_diagonal_zeros(lap):
+    # the same operator with its stored zero diagonals dropped
+    a = lap.to_scipy().copy()
+    a.eliminate_zeros()
+    return Laplacian(kind=lap.kind, n=lap.n, indptr=a.indptr,
+                     indices=a.indices, data=a.data,
+                     lambda_max_bound=lap.lambda_max_bound, graph=lap.graph)
+
+
+def _isolated_vertex_laplacian():
+    # vertex 9 has no edges; the rest is a path
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        g = SparseGraph.from_edges(10, np.arange(8), np.arange(1, 9),
+                                   np.linspace(0.5, 2.0, 8))
+    return build_laplacian(g, kind="combinatorial")
+
+
+@pytest.fixture(scope="module")
+def small_laps():
+    er = erdos_renyi_graph(30, 0.25, seed=1)
+    sensor = sensor_graph(40, seed=2)
+    isolated = _isolated_vertex_laplacian()
+    return [build_laplacian(er, kind="combinatorial"),
+            build_laplacian(sensor, kind="normalized"),
+            isolated,
+            _without_diagonal_zeros(isolated)]
+
+
+def test_laplacian_stores_every_diagonal():
+    # the kernels shift the stored diagonal in place; a row without one
+    # takes the slower path that inserts it
+    lap = _isolated_vertex_laplacian()
+    a = lap.to_scipy()
+    assert all(a[i].indices.tolist().count(i) == 1 for i in range(lap.n))
+    assert _kernels._diagonal(lap.indptr, lap.indices) is not None
+    bare = _without_diagonal_zeros(lap)
+    assert bare.data.size == lap.data.size - 1
+    assert _kernels._diagonal(bare.indptr, bare.indices) is None
+
+
+def _dense_s(lap, center, half):
+    s = (lap.toarray() - center * np.eye(lap.n)) / half
+    return np.linalg.eigh(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       degree=st.integers(0, 30), n_rows=st.integers(1, 5),
+       n_cols=st.sampled_from([0, 3]), widen=st.floats(1.0, 2.0),
+       shift=st.floats(-1.0, 1.0))
+def test_m_form_kernels_match_dense_chebyshev_series(small_laps, case, seed,
+                                                     degree, n_rows, n_cols,
+                                                     widen, shift):
+    # S = (L - c I) / h with [c - h, c + h] covering [0, lambda_bar], c off
+    # the diagonal entries; the references evaluate each series on the
+    # eigenvalues of the dense S
+    lap = small_laps[case]
+    rng = np.random.default_rng(seed)
+    bound = lap.lambda_max_bound
+    half = widen * bound / 2.0
+    center = bound / 2.0 + shift * (half - bound / 2.0)
+    s, v = _dense_s(lap, center, half)
+    x = rng.standard_normal((lap.n, n_cols) if n_cols else lap.n)
+    xhat = v.T @ x
+    rows = rng.standard_normal((n_rows, degree + 1))
+    scale = np.abs(rows).sum(axis=1) * np.linalg.norm(x)
+
+    def series(c):
+        weights = chebval(s, c)
+        return v @ (weights[:, None] * xhat if x.ndim == 2
+                    else weights * xhat)
+
+    got = _kernels.cheb_apply(*_csr(lap), rows[0], center, half, x)
+    assert np.linalg.norm(got - series(rows[0])) <= 1e-12 * scale[0]
+    got = _kernels.cheb_apply_stack(*_csr(lap), rows, center, half, x)
+    for j in range(n_rows):
+        assert np.linalg.norm(got[j] - series(rows[j])) <= 1e-12 * scale[j]
+
+    n_moments = 2 * degree + 1
+    got = _kernels.cheb_moments(*_csr(lap), n_moments, center, half, x)
+    for k in range(n_moments):
+        e = np.zeros(k + 1)
+        e[k] = 1.0
+        want = np.einsum("i...,i...->...", x, series(e))
+        assert np.all(np.abs(got[k] - want)
+                      <= 1e-12 * np.linalg.norm(x) ** 2)
+
+    approxes = [ChebyshevApprox(degree, r, 2.0 * half) for r in rows]
+    u = rng.standard_normal((n_rows, lap.n))
+    s, v = _dense_s(lap, half, half)
+    uhat = v.T @ u.T
+    want = v @ sum(chebval(s, r) * uhat[:, j] for j, r in enumerate(rows))
+    got = apply_poly_bank_adjoint(approxes, lap, u)
+    assert np.linalg.norm(got - want) <= 1e-12 * float(
+        np.abs(rows).sum(axis=1) @ np.linalg.norm(u, axis=1))
+
+
 def _per_column(fn, x):
     return np.stack([fn(np.ascontiguousarray(x[:, b]))
                      for b in range(x.shape[1])], axis=-1)
@@ -220,3 +323,43 @@ def test_forked_child_runs_block_calls(lap):
             pytest.fail("the forked child's block call did not return")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _foreign_thread_ticks():
+    """CPU ticks (utime + stime) of this process's threads that Python did
+    not start, such as the BLAS library's own threads."""
+    ours = {t.native_id for t in threading.enumerate()}
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) in ours:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:  # the thread has ended
+            continue
+        total += int(fields[11]) + int(fields[12])
+    return total
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_request_paths_leave_blas_threads_idle():
+    # a threaded BLAS reduction of 10k or more entries leaves a helper
+    # thread spinning for about 130 ms of CPU, on the CPU that the kernels'
+    # second worker needs; request paths reduce through einsum instead
+    sensor = build_laplacian(sensor_graph(20000, seed=3))
+    grid = build_laplacian(grid_graph(300, 300))
+    ds = dictionary_poly(sensor, make_sgwt(sensor.lambda_max_bound, 6), 20)
+    dg = dictionary_poly(grid, make_sgwt(grid.lambda_max_bound, 6), 10)
+    rng = np.random.default_rng(7)
+    cs = analysis(ds, rng.standard_normal(sensor.n))
+    cg = analysis(dg, rng.standard_normal(grid.n))
+    train = rng.standard_normal((2, grid.n))
+    time.sleep(0.4)
+    before = _foreign_thread_ticks()
+    inverse_cg(ds, cs, tol=1e-8)
+    estimate_energy_cdf(grid, train)
+    synthesis(dg, cg)
+    time.sleep(0.4)
+    assert _foreign_thread_ticks() - before <= 2
