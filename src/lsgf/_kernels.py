@@ -154,7 +154,7 @@ def _diagonal(indptr, indices):
         n = indptr.shape[0] - 1
         rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
         hit = np.flatnonzero(indices == rows)
-        pos = np.full(n, -1, dtype=np.int64)
+        pos = np.full(n, -1, dtype=indices.dtype)
         pos[rows[hit]] = hit
         pos = pos if np.all(pos >= 0) else None
         _diagonal_cache = (weakref.ref(indptr), weakref.ref(indices), pos)
@@ -165,7 +165,8 @@ def shifted_csr(indptr, indices, data, center, half):
     """CSR arrays of M = 2 (A - center I) / half = 2 S.
 
     M shares A's indptr and indices when every row stores its diagonal, as
-    build_laplacian's rows do; otherwise scipy inserts the missing entries.
+    build_laplacian's rows do unless a vertex has no edge; otherwise scipy
+    inserts the missing entries.
     """
     scale = 2.0 / half
     pos = _diagonal(indptr, indices)
@@ -197,17 +198,22 @@ def _chebyshev_vectors(m, n_terms, x):
 
 
 def _stack(m, coeff_rows, out, x):
+    # row by row, so that a worker holds no (J, N) temporary.  The scaled
+    # rows go into T_{k-2} x, dead once T_k x is made (a fresh vector only
+    # at k = 1); the reference is dropped before the recurrence resumes, so
+    # that it frees the buffer before allocating T_{k+1} x
     vectors = _chebyshev_vectors(m, coeff_rows.shape[1], x)
+    older = newer = None
     for k, (c, t) in enumerate(zip(coeff_rows.T, vectors)):
-        # row by row through one temporary, so that a worker holds no
-        # (J, N) temporary and allocates nothing per row
-        if k == 1:
-            scaled = np.empty_like(t)
-        for j in range(c.size):
-            if k == 0:
+        if k == 0:
+            for j in range(c.size):
                 np.multiply(c[j], t, out=out[j])
-            else:
-                out[j] += np.multiply(c[j], t, out=scaled)
+        else:
+            scratch = np.empty_like(t) if older is None else older
+            for j in range(c.size):
+                out[j] += np.multiply(c[j], t, out=scratch)
+            scratch = None
+        older, newer = newer, t
 
 
 def _moments(m, out, x):

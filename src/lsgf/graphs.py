@@ -172,15 +172,6 @@ def build_laplacian(graph, kind="combinatorial"):
     deg = graph.degrees()
     if kind == "combinatorial":
         lap = scipy.sparse.diags(deg) - w
-        isolated = np.flatnonzero(deg == 0)
-        if isolated.size:
-            # the difference drops an isolated vertex's zero diagonal; store
-            # it, so that the kernels find every row's diagonal to shift
-            lap = lap.tocoo()
-            lap = scipy.sparse.coo_matrix(
-                (np.r_[lap.data, np.zeros(isolated.size)],
-                 (np.r_[lap.row, isolated], np.r_[lap.col, isolated])),
-                shape=lap.shape)
         if graph.n_edges:
             rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
             bound = float(np.max(deg[rows] + deg[graph.indices]))

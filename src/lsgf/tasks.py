@@ -162,8 +162,10 @@ def denoise(d, noisy, cfg):
     Returns the estimate and a report holding the thresholds, atom norms
     and any solver info.
     """
-    coeffs = analysis(d, noisy)
+    # the norms first: their probe filtering is the request's memory peak,
+    # and the coefficients need not be held through it
     norms = _atom_norms(d, cfg)
+    coeffs = analysis(d, noisy)
     thresholds = sure_thresholds(coeffs, norms, cfg.sigma,
                                  scaling_bands=d.bank.scaling_indices())
     shrunk = soft_threshold(coeffs, norms, cfg.sigma, thresholds)

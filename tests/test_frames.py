@@ -322,6 +322,7 @@ def test_token_digest_is_the_tobytes_formula(setup):
               dictionary_poly(lap, sgwt, 20, centers=sub)):
         assert d.token == _tobytes_digest(d)
 
+
 def test_atoms_match_band_matrix(setup):
     g, lap, eig, f = setup
     bank = make_uniform_translates(lap.lambda_max_bound, 3, "hann")

@@ -4,11 +4,13 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
@@ -121,6 +123,25 @@ def test_clenshaw_adjoint_matches_per_band_recurrences(lap, seed, n_bands,
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_stack_recurrence_holds_three_vectors():
+    # beyond its output and M's data array, a single-column stack holds
+    # T_{k-1} x, T_k x and the new T_{k+1} x: the scaled rows reuse the
+    # dead T_{k-2} x rather than a vector of their own
+    lap = build_laplacian(grid_graph(100, 100), kind="combinatorial")
+    x = np.random.default_rng(6).standard_normal(lap.n)
+    rows = np.random.default_rng(7).standard_normal((6, 21))
+    half = lap.lambda_max_bound / 2.0
+    # the first call also finds the diagonal positions
+    _kernels.cheb_apply_stack(*_csr(lap), rows, half, half, x)
+    tracemalloc.start()
+    try:
+        out = _kernels.cheb_apply_stack(*_csr(lap), rows, half, half, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes - lap.data.nbytes < 3.5 * x.nbytes
+
+
 def test_operator_shares_laplacian_index_arrays(lap):
     # building the operator for a kernel call copies none of the CSR arrays
     a = _kernels._operator(*_csr(lap))
@@ -128,10 +149,15 @@ def test_operator_shares_laplacian_index_arrays(lap):
         assert np.shares_memory(mine, theirs)
 
 
-def _without_diagonal_zeros(lap):
-    # the same operator with its stored zero diagonals dropped
-    a = lap.to_scipy().copy()
-    a.eliminate_zeros()
+def _with_diagonal_zeros(lap):
+    # the same operator with a zero stored on every diagonal it lacks, as a
+    # Laplacian assembled elsewhere may have
+    a = lap.to_scipy().tocoo()
+    missing = np.setdiff1d(np.arange(lap.n), a.row[a.row == a.col])
+    a = scipy.sparse.csr_matrix(
+        (np.r_[a.data, np.zeros(missing.size)],
+         (np.r_[a.row, missing], np.r_[a.col, missing])), shape=a.shape)
+    a.sort_indices()
     return Laplacian(kind=lap.kind, n=lap.n, indptr=a.indptr,
                      indices=a.indices, data=a.data,
                      lambda_max_bound=lap.lambda_max_bound, graph=lap.graph)
@@ -154,19 +180,18 @@ def small_laps():
     return [build_laplacian(er, kind="combinatorial"),
             build_laplacian(sensor, kind="normalized"),
             isolated,
-            _without_diagonal_zeros(isolated)]
+            _with_diagonal_zeros(isolated)]
 
 
-def test_laplacian_stores_every_diagonal():
-    # the kernels shift the stored diagonal in place; a row without one
-    # takes the slower path that inserts it
+def test_rows_without_a_diagonal_take_the_fallback():
+    # the kernels shift the stored diagonal in place; build_laplacian
+    # stores none for an isolated vertex, whose row takes the slower path
+    # that inserts it
     lap = _isolated_vertex_laplacian()
-    a = lap.to_scipy()
-    assert all(a[i].indices.tolist().count(i) == 1 for i in range(lap.n))
-    assert _kernels._diagonal(lap.indptr, lap.indices) is not None
-    bare = _without_diagonal_zeros(lap)
-    assert bare.data.size == lap.data.size - 1
-    assert _kernels._diagonal(bare.indptr, bare.indices) is None
+    assert _kernels._diagonal(lap.indptr, lap.indices) is None
+    full = _with_diagonal_zeros(lap)
+    assert full.data.size == lap.data.size + 1
+    assert _kernels._diagonal(full.indptr, full.indices) is not None
 
 
 def _dense_s(lap, center, half):
