@@ -1,14 +1,13 @@
 """Low-level CSR and Chebyshev recurrence kernels on scipy.sparse.
 
-The graph operator arrives as raw CSR arrays (indptr, indices, data).  Every
-Chebyshev entry point runs the same three-term recurrence for
-S = (A - center I) / half and differs only in what it accumulates from the
-vectors T_k(S) x.  Each call first builds M = 2 S once (shifted_csr): a new
-data array on A's own indptr and indices, the stored diagonal shifted in
-place, so a recurrence step is one sparse product and one vector pass,
-T_k+1 x = M T_k x - T_k-1 x, rather than a product and five passes that
-shift and scale it.  Results are deterministic: the sparse product sums
-each row in storage order.
+Every Chebyshev entry point takes the raw CSR arrays (indptr, indices, data)
+of an operator M = 2 S and runs the same three-term recurrence,
+T_k+1(S) x = M T_k(S) x - T_k-1(S) x, one sparse product and one vector
+pass per step; the entry points differ only in what they accumulate from the
+vectors T_k(S) x.  For a Laplacian L and interval [0, lambda_bar],
+S = 2 L / lambda_bar - I and M is built once per interval and kept by
+Laplacian.chebyshev_operator, on L's own indptr and indices.  Results are
+deterministic: the sparse product sums each row in storage order.
 
 Moments mu_k = x . T_k(S) x take half the recurrence.  Since
 T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 and S is symmetric,
@@ -41,7 +40,6 @@ OMP, keep BLAS.
 
 import os
 import threading
-import weakref
 
 import numpy as np
 import scipy.sparse
@@ -137,49 +135,6 @@ def _norm(u):
     return np.sqrt(_dot(u, u))
 
 
-# (indptr, indices) weak references and the diagonal positions found in
-# them: every kernel call on a Laplacian reuses one N-vector of positions
-# rather than scanning its nnz indices again.  The package never modifies
-# CSR index arrays in place, so identity is a sound key.
-_diagonal_cache = (None, None, None)
-
-
-def _diagonal(indptr, indices):
-    """Position in the CSR arrays of each row's diagonal entry, or None when
-    some row stores none."""
-    global _diagonal_cache
-    ptr_ref, idx_ref, pos = _diagonal_cache
-    if ptr_ref is None or ptr_ref() is not indptr \
-            or idx_ref() is not indices:
-        n = indptr.shape[0] - 1
-        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-        hit = np.flatnonzero(indices == rows)
-        pos = np.full(n, -1, dtype=indices.dtype)
-        pos[rows[hit]] = hit
-        pos = pos if np.all(pos >= 0) else None
-        _diagonal_cache = (weakref.ref(indptr), weakref.ref(indices), pos)
-    return pos
-
-
-def shifted_csr(indptr, indices, data, center, half):
-    """CSR arrays of M = 2 (A - center I) / half = 2 S.
-
-    M shares A's indptr and indices when every row stores its diagonal, as
-    build_laplacian's rows do unless a vertex has no edge; otherwise scipy
-    inserts the missing entries.
-    """
-    scale = 2.0 / half
-    pos = _diagonal(indptr, indices)
-    if pos is None:
-        m = (_operator(indptr, indices, data) * scale
-             - scipy.sparse.identity(indptr.shape[0] - 1) * (center * scale)
-             ).tocsr()
-        return m.indptr, m.indices, m.data
-    m = np.multiply(data, scale)
-    m[pos] -= center * scale
-    return indptr, indices, m
-
-
 def _chebyshev_vectors(m, n_terms, x):
     """Yield T_k(S) x for k = 0 .. n_terms-1, m the operator M = 2 S."""
     t0 = np.array(x, dtype=np.float64)
@@ -234,19 +189,19 @@ def _moments(m, out, x):
         prev = t
 
 
-def _apply(indptr, indices, data, coeff_rows, center, half, x, out):
-    m = _operator(*shifted_csr(indptr, indices, data, center, half))
+def _apply(indptr, indices, data, coeff_rows, x, out):
+    m = _operator(indptr, indices, data)
     return _by_columns(lambda o, xg: _stack(m, coeff_rows, o, xg), out, x)
 
 
-def cheb_apply(indptr, indices, data, coeffs, center, half, x):
-    """y = sum_k coeffs[k] T_k(S) x with S = (A - center I) / half."""
+def cheb_apply(indptr, indices, data, coeffs, x):
+    """y = sum_k coeffs[k] T_k(S) x for the CSR operator M = 2 S."""
     x = np.asarray(x)
-    return _apply(indptr, indices, data, np.asarray(coeffs)[None], center,
-                  half, x, np.empty((1,) + x.shape))[0]
+    return _apply(indptr, indices, data, np.asarray(coeffs)[None], x,
+                  np.empty((1,) + x.shape))[0]
 
 
-def cheb_apply_stack(indptr, indices, data, coeff_rows, center, half, x):
+def cheb_apply_stack(indptr, indices, data, coeff_rows, x):
     """Apply several polynomials of the same operator in one recurrence.
 
     coeff_rows has shape (J, K+1).  The Chebyshev vectors T_k(S) x are shared
@@ -261,10 +216,10 @@ def cheb_apply_stack(indptr, indices, data, coeff_rows, center, half, x):
     shape = (coeff_rows.shape[0], x.shape[0])
     out = np.empty(shape) if x.ndim == 1 \
         else np.empty((x.shape[1],) + shape).transpose(1, 2, 0)
-    return _apply(indptr, indices, data, coeff_rows, center, half, x, out)
+    return _apply(indptr, indices, data, coeff_rows, x, out)
 
 
-def cheb_moments(indptr, indices, data, n_moments, center, half, x):
+def cheb_moments(indptr, indices, data, n_moments, x):
     """m[k] = x . T_k(S) x for k = 0 .. n_moments-1, per column of a block.
 
     The recurrence runs only to T_m(S) x, m = ceil((n_moments - 1) / 2), so
@@ -272,5 +227,5 @@ def cheb_moments(indptr, indices, data, n_moments, center, half, x):
     """
     x = np.asarray(x)
     out = np.empty((n_moments,) + x.shape[1:])
-    m = _operator(*shifted_csr(indptr, indices, data, center, half))
+    m = _operator(indptr, indices, data)
     return _by_columns(lambda o, xg: _moments(m, o, xg), out, x)

@@ -74,13 +74,6 @@ def chebyshev_fit(kernel, degree, lambda_bar, jackson=False):
                            lambda_bar=float(lambda_bar), jackson=jackson)
 
 
-def _check_interval(p, lap):
-    if p.lambda_bar < lap.lambda_max_bound * (1.0 - 1e-12):
-        raise ValueError(
-            f"approximant interval [0, {p.lambda_bar:g}] does not cover the "
-            f"Laplacian's recorded bound {lap.lambda_max_bound:g}")
-
-
 def apply_poly_filter(p, lap, f):
     """p(L) f via the three-term recurrence; O(degree * |E|) work.
 
@@ -88,24 +81,21 @@ def apply_poly_filter(p, lap, f):
     and is exactly zero beyond.
     """
     f = as_signal(lap.n, f)
-    _check_interval(p, lap)
-    half = p.lambda_bar / 2.0
-    return _kernels.cheb_apply(lap.indptr, lap.indices, lap.data, p.coeffs,
-                               half, half, f)
+    return _kernels.cheb_apply(*lap.chebyshev_operator(p.lambda_bar),
+                               p.coeffs, f)
 
 
 def _bank_rows(approxes, lap):
-    """(J, K+1) zero-padded coefficient rows and the shared half-interval."""
+    """(J, K+1) zero-padded coefficient rows and the Chebyshev operator of
+    the shared interval."""
     lb = approxes[0].lambda_bar
-    for p in approxes:
-        if p.lambda_bar != lb:
-            raise ValueError("bank approximants must share one interval")
-        _check_interval(p, lap)
+    if any(p.lambda_bar != lb for p in approxes):
+        raise ValueError("bank approximants must share one interval")
     nk = max(p.coeffs.size for p in approxes)
     rows = np.zeros((len(approxes), nk))
     for j, p in enumerate(approxes):
         rows[j, :p.coeffs.size] = p.coeffs
-    return rows, lb / 2.0
+    return rows, lap.chebyshev_operator(lb)
 
 
 def apply_poly_bank(approxes, lap, f):
@@ -118,9 +108,8 @@ def apply_poly_bank(approxes, lap, f):
     f = as_block(lap.n, f)
     if not approxes:
         return np.zeros((0,) + f.shape)
-    rows, half = _bank_rows(approxes, lap)
-    return _kernels.cheb_apply_stack(lap.indptr, lap.indices, lap.data, rows,
-                                     half, half, f)
+    rows, m = _bank_rows(approxes, lap)
+    return _kernels.cheb_apply_stack(*m, rows, f)
 
 
 def apply_poly_bank_adjoint(approxes, lap, u):
@@ -137,13 +126,12 @@ def apply_poly_bank_adjoint(approxes, lap, u):
                          f"({len(approxes)}, {lap.n})")
     if not approxes:
         return np.zeros(lap.n)
-    rows, half = _bank_rows(approxes, lap)
+    rows, m = _bank_rows(approxes, lap)
     # the kernels' einsum rather than a BLAS gemv: a (J,) @ (J, N) product
     # on a 90k-vertex graph wakes BLAS threads that then spin on the CPUs
     b1 = _kernels._dot(rows[:, -1], u)
     if rows.shape[1] == 1:
         return b1
-    m = _kernels.shifted_csr(lap.indptr, lap.indices, lap.data, half, half)
     b2 = np.zeros(lap.n)
     for k in range(rows.shape[1] - 2, 0, -1):
         b = _kernels.csr_matvec(*m, b1)

@@ -193,11 +193,15 @@ def cmd_spectrum_cdf(args):
 
 
 def cmd_design(args):
+    if args.n_grid < 2:
+        raise ValueError("--n-grid must be at least 2")
     lap = None
     if args.graph:
         _, lap = _load_lap(args)
         lambda_bar = lap.lambda_max_bound
-    elif args.lambda_bar:
+    elif args.lambda_bar is not None:
+        if not (np.isfinite(args.lambda_bar) and args.lambda_bar > 0):
+            raise ValueError("--lambda-bar must be positive and finite")
         lambda_bar = args.lambda_bar
     else:
         raise ValueError("need --graph or --lambda-bar")

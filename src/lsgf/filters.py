@@ -312,6 +312,8 @@ def make_sgwt(lambda_bar, n_kernels, k_scale=20.0):
     """
     if n_kernels < 2:
         raise ValueError("need a scaling kernel plus at least one wavelet")
+    if not (np.isfinite(k_scale) and k_scale > 0):
+        raise ValueError("k_scale must be positive and finite")
     lmin = lambda_bar / k_scale
     n_scales = n_kernels - 1
     if n_scales == 1:

@@ -244,7 +244,8 @@ class Dictionary:
         """(J, N) matrix of g_j(L) f for every band.
 
         f may also be an (N, B) block of column signals; the result is then
-        (J, N, B), and column b equals the call on f[:, b] alone.
+        (J, N, B), and column b equals the call on f[:, b] alone: bit for bit
+        in poly mode, up to rounding in exact mode.
         """
         return self._filter(f, slice(None))
 
@@ -252,10 +253,12 @@ class Dictionary:
         """filter_all restricted to the bands selected by the slice bands."""
         f = as_block(self.lap.n, f)
         if self.mode == "exact":
-            if f.ndim == 2:
-                return np.stack([self._filter(c, bands) for c in f.T],
-                                axis=-1)
             fhat = self.eig.fourier(f)
+            if f.ndim == 2:
+                # one (N, N) @ (N, J B) product for the whole block
+                w = self._diag[bands].T[:, :, None] * fhat[:, None, :]
+                y = self.eig.inverse_fourier(w.reshape(self.lap.n, -1))
+                return y.reshape(w.shape).transpose(1, 0, 2)
             return self.eig.inverse_fourier((self._diag[bands] * fhat).T).T
         return apply_poly_bank(self.approx[bands], self.lap, f)
 
@@ -488,7 +491,12 @@ def atom_norm_estimate(d, n_probes=50, seed=0):
         raise ValueError("need at least two probes for a standard deviation")
     mean = np.zeros((d.n_bands, d.lap.n))
     m2 = np.zeros_like(mean)
-    for ts in _kernels.probe_blocks(n_probes):
+    # exact mode filters a block in dense products whose rounding depends on
+    # the block's width, so there each probe is a block of its own and the
+    # estimate does not depend on the number of CPUs
+    blocks = _kernels.probe_blocks(n_probes) if d.mode == "poly" \
+        else [[t] for t in range(n_probes)]
+    for ts in blocks:
         samples = d.filter_all(np.column_stack(
             [np.random.default_rng([seed, t]).standard_normal(d.lap.n)
              for t in ts]))

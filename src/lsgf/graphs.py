@@ -7,7 +7,7 @@ bound on their largest eigenvalue; every spectral interval in the package is
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -140,9 +140,47 @@ class Laplacian:
     data: np.ndarray
     lambda_max_bound: float
     graph: SparseGraph | None = None
+    # lambda_bar -> CSR arrays of its Chebyshev operator
+    _operators: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def matvec(self, x):
         return _kernels.csr_matvec(self.indptr, self.indices, self.data, x)
+
+    def chebyshev_operator(self, lambda_bar):
+        """CSR arrays (indptr, indices, data) of M = 4 L / lambda_bar - 2 I.
+
+        M is 2 S for the S = 2 L / lambda_bar - I that maps [0, lambda_bar]
+        onto [-1, 1], the operator every Chebyshev kernel takes.  The
+        interval must cover the recorded bound.  M is built on the first
+        request for each lambda_bar and kept; it shares this Laplacian's
+        indptr and indices when every row stores its diagonal, as
+        build_laplacian's rows do unless a vertex has no edge, and otherwise
+        scipy inserts the missing entries.
+        """
+        if lambda_bar < self.lambda_max_bound * (1.0 - 1e-12):
+            raise ValueError(
+                f"approximant interval [0, {lambda_bar:g}] does not cover "
+                f"the Laplacian's recorded bound {self.lambda_max_bound:g}")
+        op = self._operators.get(lambda_bar)
+        if op is None:
+            scale = 4.0 / lambda_bar
+            # M = scale (L - lambda_bar / 2 I): the shift is 2 up to the
+            # rounding of scale
+            shift = scale * (lambda_bar / 2.0)
+            rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
+                             np.diff(self.indptr))
+            diag = np.flatnonzero(self.indices == rows)
+            if np.array_equal(rows[diag], np.arange(self.n)):
+                data = np.multiply(self.data, scale)
+                data[diag] -= shift
+                op = self.indptr, self.indices, data
+            else:
+                m = (self.to_scipy() * scale
+                     - scipy.sparse.identity(self.n) * shift).tocsr()
+                op = m.indptr, m.indices, m.data
+            self._operators[lambda_bar] = op
+        return op
 
     def to_scipy(self):
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),

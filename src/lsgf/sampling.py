@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from .chebyshev import _check_interval, apply_poly_filter, poly_atom
+from .chebyshev import apply_poly_filter, poly_atom
 from .filters import effective_support
 from .frames import solve_cg
 from .spectrum import rademacher_probe
@@ -128,14 +128,12 @@ def greedy_centers(lap, p, count, prune_level=0.01):
     n = lap.n
     if not 1 <= count <= n:
         raise ValueError("count must be between 1 and n")
-    _check_interval(p, lap)
-    half = p.lambda_bar / 2.0
+    m = lap.chebyshev_operator(p.lambda_bar)
     scores = np.empty(n)
     block = 256
     for start in range(0, n, block):
         eye = np.eye(n, min(block, n - start), k=-start)
-        cols = _kernels.cheb_apply(lap.indptr, lap.indices, lap.data,
-                                   p.coeffs, half, half, eye)
+        cols = _kernels.cheb_apply(*m, p.coeffs, eye)
         scores[start:start + eye.shape[1]] = np.abs(cols).sum(axis=0)
     for _ in range(count):
         # a chosen vertex is marked by a score of -inf and never damped

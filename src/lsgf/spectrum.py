@@ -158,9 +158,8 @@ def rademacher_probe(n, seed, index):
 def _probe_moments(lap, n_moments, block):
     """Rows of Chebyshev moments x' T_k(S) x, k < n_moments, one row per
     column x of an (N, B) block; S maps [0, lambda_bar] onto [-1, 1]."""
-    half = lap.lambda_max_bound / 2.0
-    return _kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
-                                 n_moments, half, half, block).T
+    return _kernels.cheb_moments(
+        *lap.chebyshev_operator(lap.lambda_max_bound), n_moments, block).T
 
 
 def estimate_spectral_cdf(lap, n_probes=10, kpm_degree=30, n_grid=50,

@@ -361,6 +361,18 @@ def test_malformed_input_exits_2(workspace, capsys):
         ["generate", "--kind", "grid", "--rows", "5", "--cols", "-1"],
         ["generate", "--kind", "path", "--n", "0"],
         ["generate", "--kind", "cycle", "--n", "2"],
+        ["transform", "--graph", str(g), "--signal", str(f), "--out",
+         str(tmp / "c.lsgc"), "--design", "sgwt", "--k-scale", "0"],
+        ["transform", "--graph", str(g), "--signal", str(f), "--out",
+         str(tmp / "c.lsgc"), "--design", "sgwt", "--k-scale", "inf"],
+        ["transform", "--graph", str(g), "--signal", str(f), "--out",
+         str(tmp / "c.lsgc"), "--design", "sgwt", "--k-scale", "-1"],
+        ["design", "--lambda-bar", "-1", "--out", str(tmp / "bank.csv")],
+        ["design", "--lambda-bar", "0", "--out", str(tmp / "bank.csv")],
+        ["design", "--lambda-bar", "nan", "--out", str(tmp / "bank.csv")],
+        ["design", "--lambda-bar", "inf", "--out", str(tmp / "bank.csv")],
+        ["design", "--lambda-bar", "4", "--n-grid", "1", "--out",
+         str(tmp / "bank.csv")],
     ]
     capsys.readouterr()
     for argv in bad:

@@ -1,11 +1,13 @@
 """Kernel-level checks: CSR products and the Chebyshev recurrences."""
 
+import importlib.util
 import os
 import signal
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,20 +17,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
-from lsgf import _kernels
-from lsgf.chebyshev import ChebyshevApprox, apply_poly_bank_adjoint
+from lsgf import _kernels, frames, sampling, spectrum
+from lsgf.chebyshev import (ChebyshevApprox, apply_poly_bank,
+                            apply_poly_bank_adjoint, apply_poly_filter)
 from lsgf.filters import make_sgwt
 from lsgf.frames import (analysis, atom_norm_estimate, dictionary_exact,
                          dictionary_poly, inverse_cg, synthesis)
 from lsgf.generators import (erdos_renyi_graph, grid_graph, path_graph,
                              sensor_graph)
 from lsgf.graphs import Laplacian, SparseGraph, build_laplacian, eigendecompose
-from lsgf.sampling import nonuniform_weights
+from lsgf.sampling import greedy_centers, nonuniform_weights
 from lsgf.spectrum import estimate_energy_cdf, estimate_spectral_cdf
 
 
 def _csr(lap):
     return lap.indptr, lap.indices, lap.data
+
+
+def _m(lap):
+    return lap.chebyshev_operator(lap.lambda_max_bound)
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +68,9 @@ def test_stack_rows_match_single_apply_bitwise(lap):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(lap.n)
     stack = rng.standard_normal((5, 31))
-    center = half = lap.lambda_max_bound / 2.0
-    out = _kernels.cheb_apply_stack(*_csr(lap), stack, center, half, x)
+    out = _kernels.cheb_apply_stack(*_m(lap), stack, x)
     for j in range(5):
-        single = _kernels.cheb_apply(*_csr(lap), stack[j], center, half, x)
+        single = _kernels.cheb_apply(*_m(lap), stack[j], x)
         assert np.array_equal(out[j], single)
 
 
@@ -72,26 +78,23 @@ def test_zero_padded_coeffs_do_not_change_result(lap):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(lap.n)
     coeffs = rng.standard_normal(11)
-    center = half = lap.lambda_max_bound / 2.0
-    base = _kernels.cheb_apply(*_csr(lap), coeffs, center, half, x)
+    base = _kernels.cheb_apply(*_m(lap), coeffs, x)
     padded = np.concatenate([coeffs, np.zeros(9)])
-    assert np.array_equal(
-        base, _kernels.cheb_apply(*_csr(lap), padded, center, half, x))
+    assert np.array_equal(base, _kernels.cheb_apply(*_m(lap), padded, x))
 
 
 def test_moments_match_explicit_inner_products(lap):
     # odd and even counts: the doubling identities read moments 2m - 1
     # and 2m off the vectors up to T_m x
     rng = np.random.default_rng(4)
-    center = half = lap.lambda_max_bound / 2.0
     for x in (rng.standard_normal(lap.n), rng.standard_normal((lap.n, 3))):
         for n_moments in (1, 2, 3, 4, 12, 61):
-            m = _kernels.cheb_moments(*_csr(lap), n_moments, center, half, x)
+            m = _kernels.cheb_moments(*_m(lap), n_moments, x)
             assert m.shape == (n_moments,) + x.shape[1:]
             for k in range(n_moments):
                 e = np.zeros(k + 1)
                 e[k] = 1.0
-                tk_x = _kernels.cheb_apply(*_csr(lap), e, center, half, x)
+                tk_x = _kernels.cheb_apply(*_m(lap), e, x)
                 want = np.einsum("i...,i...->...", x, tk_x)
                 assert np.all(np.abs(m[k] - want)
                               < 1e-10 * (np.abs(m[k]) + 1.0))
@@ -100,9 +103,10 @@ def test_moments_match_explicit_inner_products(lap):
 def test_degree_zero_and_one():
     lap = build_laplacian(path_graph(5), kind="combinatorial")
     x = np.arange(5.0)
-    c0 = _kernels.cheb_apply(*_csr(lap), np.array([3.0]), 2.0, 2.0, x)
+    m = lap.chebyshev_operator(4.0)
+    c0 = _kernels.cheb_apply(*m, np.array([3.0]), x)
     assert np.allclose(c0, 3.0 * x)
-    c1 = _kernels.cheb_apply(*_csr(lap), np.array([0.0, 1.0]), 2.0, 2.0, x)
+    c1 = _kernels.cheb_apply(*m, np.array([0.0, 1.0]), x)
     assert np.allclose(c1, (lap.toarray() @ x - 2.0 * x) / 2.0)
 
 
@@ -114,32 +118,29 @@ def test_clenshaw_adjoint_matches_per_band_recurrences(lap, seed, n_bands,
     rng = np.random.default_rng(seed)
     coeff_rows = rng.standard_normal((n_bands, degree + 1))
     u = rng.standard_normal((n_bands, lap.n))
-    half = lap.lambda_max_bound / 2.0
     approxes = [ChebyshevApprox(degree, c, lap.lambda_max_bound)
                 for c in coeff_rows]
     got = apply_poly_bank_adjoint(approxes, lap, u)
-    want = sum(_kernels.cheb_apply(*_csr(lap), coeff_rows[j], half, half,
-                                   u[j]) for j in range(n_bands))
+    want = sum(_kernels.cheb_apply(*_m(lap), coeff_rows[j], u[j])
+               for j in range(n_bands))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_stack_recurrence_holds_three_vectors():
-    # beyond its output and M's data array, a single-column stack holds
-    # T_{k-1} x, T_k x and the new T_{k+1} x: the scaled rows reuse the
-    # dead T_{k-2} x rather than a vector of their own
+    # beyond its output, a single-column stack holds T_{k-1} x, T_k x and
+    # the new T_{k+1} x: the scaled rows reuse the dead T_{k-2} x rather
+    # than a vector of their own, and the operator M is built beforehand
     lap = build_laplacian(grid_graph(100, 100), kind="combinatorial")
     x = np.random.default_rng(6).standard_normal(lap.n)
     rows = np.random.default_rng(7).standard_normal((6, 21))
-    half = lap.lambda_max_bound / 2.0
-    # the first call also finds the diagonal positions
-    _kernels.cheb_apply_stack(*_csr(lap), rows, half, half, x)
+    m = _m(lap)
     tracemalloc.start()
     try:
-        out = _kernels.cheb_apply_stack(*_csr(lap), rows, half, half, x)
+        out = _kernels.cheb_apply_stack(*m, rows, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes - lap.data.nbytes < 3.5 * x.nbytes
+    assert peak - out.nbytes < 3.25 * x.nbytes
 
 
 def test_operator_shares_laplacian_index_arrays(lap):
@@ -183,39 +184,62 @@ def small_laps():
             _with_diagonal_zeros(isolated)]
 
 
-def test_rows_without_a_diagonal_take_the_fallback():
-    # the kernels shift the stored diagonal in place; build_laplacian
-    # stores none for an isolated vertex, whose row takes the slower path
-    # that inserts it
-    lap = _isolated_vertex_laplacian()
-    assert _kernels._diagonal(lap.indptr, lap.indices) is None
-    full = _with_diagonal_zeros(lap)
-    assert full.data.size == lap.data.size + 1
-    assert _kernels._diagonal(full.indptr, full.indices) is not None
+def test_chebyshev_operator_is_built_once_per_interval(small_laps):
+    # M = 4 L / lambda_bar - 2 I sits on L's own index arrays when every
+    # row stores its diagonal; build_laplacian stores none for an isolated
+    # vertex, and that Laplacian (the third) takes the path that inserts it
+    for case, lap in enumerate(small_laps):
+        bound = lap.lambda_max_bound
+        ops = []
+        for lambda_bar in (bound, 1.5 * bound):
+            m = lap.chebyshev_operator(lambda_bar)
+            indptr, indices, data = m
+            dense = scipy.sparse.csr_matrix((data, indices, indptr),
+                                            shape=(lap.n, lap.n)).toarray()
+            want = 4.0 * lap.toarray() / lambda_bar - 2.0 * np.eye(lap.n)
+            assert np.max(np.abs(dense - want)) \
+                <= 1e-14 * np.abs(want).max()
+            assert (indptr is lap.indptr and indices is lap.indices) \
+                == (case != 2)
+            assert all(a is b for a, b in
+                       zip(lap.chebyshev_operator(lambda_bar), m))
+            ops.append(data)
+        assert not np.shares_memory(ops[0], ops[1])
 
 
-def _dense_s(lap, center, half):
-    s = (lap.toarray() - center * np.eye(lap.n)) / half
+def test_interval_below_the_bound_is_refused(lap):
+    p = ChebyshevApprox(3, np.ones(4), 0.9 * lap.lambda_max_bound)
+    x = np.ones(lap.n)
+    calls = [lambda: apply_poly_filter(p, lap, x),
+             lambda: apply_poly_bank([p], lap, x),
+             lambda: apply_poly_bank_adjoint([p], lap, x[None]),
+             lambda: greedy_centers(lap, p, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="does not cover the "
+                           "Laplacian's recorded bound"):
+            call()
+
+
+def _dense_s(lap, lambda_bar):
+    s = 2.0 * lap.toarray() / lambda_bar - np.eye(lap.n)
     return np.linalg.eigh(s)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
        degree=st.integers(0, 30), n_rows=st.integers(1, 5),
-       n_cols=st.sampled_from([0, 3]), widen=st.floats(1.0, 2.0),
-       shift=st.floats(-1.0, 1.0))
+       n_cols=st.sampled_from([0, 3]), widen=st.floats(1.0, 2.0))
 def test_m_form_kernels_match_dense_chebyshev_series(small_laps, case, seed,
                                                      degree, n_rows, n_cols,
-                                                     widen, shift):
-    # S = (L - c I) / h with [c - h, c + h] covering [0, lambda_bar], c off
-    # the diagonal entries; the references evaluate each series on the
-    # eigenvalues of the dense S
+                                                     widen):
+    # S = 2 L / lambda_bar - I for an interval [0, lambda_bar] covering the
+    # bound; the references evaluate each series on the eigenvalues of the
+    # dense S
     lap = small_laps[case]
     rng = np.random.default_rng(seed)
-    bound = lap.lambda_max_bound
-    half = widen * bound / 2.0
-    center = bound / 2.0 + shift * (half - bound / 2.0)
-    s, v = _dense_s(lap, center, half)
+    lambda_bar = widen * lap.lambda_max_bound
+    m = lap.chebyshev_operator(lambda_bar)
+    s, v = _dense_s(lap, lambda_bar)
     x = rng.standard_normal((lap.n, n_cols) if n_cols else lap.n)
     xhat = v.T @ x
     rows = rng.standard_normal((n_rows, degree + 1))
@@ -226,14 +250,14 @@ def test_m_form_kernels_match_dense_chebyshev_series(small_laps, case, seed,
         return v @ (weights[:, None] * xhat if x.ndim == 2
                     else weights * xhat)
 
-    got = _kernels.cheb_apply(*_csr(lap), rows[0], center, half, x)
+    got = _kernels.cheb_apply(*m, rows[0], x)
     assert np.linalg.norm(got - series(rows[0])) <= 1e-12 * scale[0]
-    got = _kernels.cheb_apply_stack(*_csr(lap), rows, center, half, x)
+    got = _kernels.cheb_apply_stack(*m, rows, x)
     for j in range(n_rows):
         assert np.linalg.norm(got[j] - series(rows[j])) <= 1e-12 * scale[j]
 
     n_moments = 2 * degree + 1
-    got = _kernels.cheb_moments(*_csr(lap), n_moments, center, half, x)
+    got = _kernels.cheb_moments(*m, n_moments, x)
     for k in range(n_moments):
         e = np.zeros(k + 1)
         e[k] = 1.0
@@ -241,9 +265,8 @@ def test_m_form_kernels_match_dense_chebyshev_series(small_laps, case, seed,
         assert np.all(np.abs(got[k] - want)
                       <= 1e-12 * np.linalg.norm(x) ** 2)
 
-    approxes = [ChebyshevApprox(degree, r, 2.0 * half) for r in rows]
+    approxes = [ChebyshevApprox(degree, r, lambda_bar) for r in rows]
     u = rng.standard_normal((n_rows, lap.n))
-    s, v = _dense_s(lap, half, half)
     uhat = v.T @ u.T
     want = v @ sum(chebval(s, r) * uhat[:, j] for j, r in enumerate(rows))
     got = apply_poly_bank_adjoint(approxes, lap, u)
@@ -265,12 +288,11 @@ def test_blocks_match_per_column_calls(lap, seed, n_cols, workers, degree,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((lap.n, n_cols))
     rows = rng.standard_normal((3, degree + 1))
-    half = lap.lambda_max_bound / 2.0
+    m = _m(lap)
     calls = [
-        lambda v: _kernels.cheb_apply(*_csr(lap), rows[0], half, half, v),
-        lambda v: _kernels.cheb_apply_stack(*_csr(lap), rows, half, half, v),
-        lambda v: _kernels.cheb_moments(*_csr(lap), degree + 1, half, half,
-                                        v)]
+        lambda v: _kernels.cheb_apply(*m, rows[0], v),
+        lambda v: _kernels.cheb_apply_stack(*m, rows, v),
+        lambda v: _kernels.cheb_moments(*m, degree + 1, v)]
     with mock.patch.object(_kernels, "n_workers", return_value=workers), \
             mock.patch.object(_kernels, "_THREADED_MIN_ROWS", threaded_rows):
         got = [call(x) for call in calls]
@@ -319,10 +341,10 @@ def test_forked_child_runs_block_calls(lap):
     # without a reset at fork its block calls would wait forever
     x = np.random.default_rng(5).standard_normal((lap.n, 4))
     coeffs = np.arange(1.0, 9.0)
-    half = lap.lambda_max_bound / 2.0
+    m = _m(lap)
     with mock.patch.object(_kernels, "n_workers", return_value=2), \
             mock.patch.object(_kernels, "_THREADED_MIN_ROWS", 0):
-        want = _kernels.cheb_apply(*_csr(lap), coeffs, half, half, x)
+        want = _kernels.cheb_apply(*m, coeffs, x)
         # start every pool thread and let it go idle: the child then
         # inherits a pool that counts idle threads it does not have
         pool = _kernels._executor()
@@ -333,7 +355,7 @@ def test_forked_child_runs_block_calls(lap):
         if pid == 0:
             code = 1
             try:
-                got = _kernels.cheb_apply(*_csr(lap), coeffs, half, half, x)
+                got = _kernels.cheb_apply(*m, coeffs, x)
                 code = 0 if np.array_equal(got, want) else 3
             finally:
                 os._exit(code)
@@ -388,3 +410,30 @@ def test_request_paths_leave_blas_threads_idle():
     synthesis(dg, cg)
     time.sleep(0.4)
     assert _foreign_thread_ticks() - before <= 2
+
+
+def test_benchmark_tracer_counts_every_kernel_call():
+    # the benchmark's per-layer matvec columns come from binding each
+    # kernel call's arguments by name; a call it cannot bind is uncounted.
+    # The layers are called through their modules, where the tracer
+    # rebinds them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    lap = build_laplacian(sensor_graph(300, seed=4))
+    d = frames.dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 12)
+    f = np.random.default_rng(8).standard_normal(lap.n)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        c = frames.analysis(d, f)
+        assert tracer.values["kernels.matvec_cols"] == 12
+        frames.inverse_cg(d, c, tol=1e-8)
+        spectrum.estimate_spectral_cdf(lap, n_probes=3)
+        sampling.nonuniform_weights(d, n_probes=3)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert tracer.values["kernels.uncounted_calls"] == 0
+    assert tracer.values["kernels.matvec_cols"] > 12

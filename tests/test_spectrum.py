@@ -23,9 +23,8 @@ def _raw_to_cdf(values):
 def _spectral_cdf_per_grid_point(lap, n_probes=10, kpm_degree=30,
                                  n_grid=50, seed=0):
     # reference: one scalar step expansion and one dot product per z
-    half = lap.lambda_max_bound / 2.0
-    moments = sum(_kernels.cheb_moments(lap.indptr, lap.indices, lap.data,
-                                        kpm_degree + 1, half, half,
+    m = lap.chebyshev_operator(lap.lambda_max_bound)
+    moments = sum(_kernels.cheb_moments(*m, kpm_degree + 1,
                                         rademacher_probe(lap.n, seed, t))
                   for t in range(n_probes)) / n_probes
     damp = jackson_coefficients(kpm_degree)
@@ -41,7 +40,7 @@ def _energy_cdf_per_grid_point(lap, signals, mode, eig=None, n_grid=50,
     # reference: filter every signal with the step approximant of every z
     # (stochastic) or sum its Fourier energies below every z (exact)
     lam_bar = lap.lambda_max_bound
-    half = lam_bar / 2.0
+    m = lap.chebyshev_operator(lam_bar)
     grid = np.linspace(0.0, lam_bar, n_grid)
     dc = _dc_direction(lap)
     damp = jackson_coefficients(kpm_degree)
@@ -59,8 +58,7 @@ def _energy_cdf_per_grid_point(lap, signals, mode, eig=None, n_grid=50,
         else:
             for i, z in enumerate(grid):
                 c = _step_coefficients(z, lam_bar, kpm_degree) * damp
-                fz = _kernels.cheb_apply(lap.indptr, lap.indices, lap.data,
-                                         c, half, half, yc)
+                fz = _kernels.cheb_apply(*m, c, yc)
                 num[i] += fz @ fz
     return _raw_to_cdf(num / den)
 
