@@ -55,8 +55,9 @@ def chebyshev_fit(kernel, degree, lambda_bar, jackson=False):
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if lambda_bar <= 0:
-        raise ValueError("lambda_bar must be positive")
+    if not (np.isfinite(lambda_bar) and lambda_bar > 0):
+        raise ValueError(f"lambda_bar must be positive and finite, got "
+                         f"{lambda_bar!r}")
     m = max(4 * degree, 256)
     theta = np.pi * (np.arange(m) + 0.5) / m
     s = np.cos(theta)

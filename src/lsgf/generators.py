@@ -5,10 +5,9 @@ numpy Generator, so artifacts are reproducible across runs and machines.
 """
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
-from .graphs import SparseGraph, build_laplacian, eigendecompose
+from .graphs import (SparseGraph, build_laplacian, component_roots,
+                     eigendecompose)
 
 _ER_ROWS = 64  # rows of the upper triangle drawn per erdos_renyi_graph block
 
@@ -103,11 +102,10 @@ def sensor_graph(n, k=6, seed=0):
 
     # join the closest pair across components until one is left; a merge
     # moves no other component's closest outside point
-    n_comp, comp = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.coo_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n)),
-        directed=False)
+    comp = component_roots(n, lo, hi)
+    labels = np.flatnonzero(comp == np.arange(n))
     near = {c: _closest_outside(pts, comp == c)
-            for c in range(n_comp)} if n_comp > 1 else {}
+            for c in labels} if labels.size > 1 else {}
     while len(near) > 1:
         d, i, j = min(near.values())
         edges.append((i, j, d))

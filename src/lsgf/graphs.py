@@ -4,15 +4,19 @@ Graphs are stored in CSR form with both triangle halves present so that row
 slices enumerate full neighborhoods.  Laplacians carry a certified upper
 bound on their largest eigenvalue; every spectral interval in the package is
 [0, lambda_max_bound] of the Laplacian at hand.
+
+Importing this module loads only numpy and scipy.sparse: connectivity is a
+vectorized union-find over the edge arrays, and the few tools that need
+scipy.linalg or scipy.sparse.csgraph (hop_distances, eigendecompose,
+lanczos_lambda_max) import them when called, so that reading a graph and
+filtering on it does not pay for loading them.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.csgraph
 
 from . import _kernels
 
@@ -92,7 +96,7 @@ class SparseGraph:
                 indices=adj.indices.astype(np.int64),
                 weights=adj.data.astype(np.float64),
                 coords=None if coords is None else np.asarray(coords, float))
-        if lo.size and not g.is_connected():
+        if lo.size and np.any(component_roots(n, lo, hi)):
             warnings.warn("graph is disconnected", stacklevel=2)
         return g
 
@@ -113,14 +117,54 @@ class SparseGraph:
 
     def hop_distances(self, source):
         """Unweighted hop count from source; -1 marks unreachable vertices."""
+        import scipy.sparse.csgraph  # here: it loads scipy.linalg
         dist = scipy.sparse.csgraph.shortest_path(
             self.to_scipy(), unweighted=True, indices=source)
         return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
     def is_connected(self):
-        """True when the graph has one component or no vertices at all."""
-        return self.n == 0 or scipy.sparse.csgraph.connected_components(
-            self.to_scipy(), directed=False, return_labels=False) == 1
+        """True when the graph has one component or no vertices at all.
+
+        That is when every vertex's component root is vertex 0.
+        """
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return not np.any(component_roots(self.n, rows[upper],
+                                          self.indices[upper]))
+
+
+def component_roots(n, src, dst):
+    """The smallest vertex of each vertex's connected component.
+
+    src and dst list the edges, in either orientation, as integer arrays.  A
+    vectorized union-find in the hook-and-shortcut style of Shiloach and
+    Vishkin (J. Algorithms 3, 1982): each round hooks every root that has an
+    edge to a smaller root onto the smallest such root, then shortcuts
+    parent = parent[parent] until every vertex points at a root, and drops
+    the edges inside one tree.  Parents only ever decrease, so the trees
+    stay acyclic and each root is its tree's smallest vertex.  A root that
+    neither hooks nor is hooked onto in a round has only neighbours that
+    hooked onto smaller roots, so it hooks in the next one: the trees with
+    edges leaving them at least halve every two rounds.  Hooking onto any
+    smaller root instead of the smallest would take a round per leaf of a
+    star whose centre is its largest vertex.
+    """
+    parent = np.arange(n)
+    src, dst = np.asarray(src), np.asarray(dst)
+    while src.size:
+        a, b = parent[src], parent[dst]
+        cross = a != b
+        if not cross.all():  # true in the first round unless a loop is given
+            if not cross.any():
+                break
+            src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
 
 
 @dataclass
@@ -152,12 +196,15 @@ class Laplacian:
 
         M is 2 S for the S = 2 L / lambda_bar - I that maps [0, lambda_bar]
         onto [-1, 1], the operator every Chebyshev kernel takes.  The
-        interval must cover the recorded bound.  M is built on the first
-        request for each lambda_bar and kept; it shares this Laplacian's
-        indptr and indices when every row stores its diagonal, as
-        build_laplacian's rows do unless a vertex has no edge, and otherwise
-        scipy inserts the missing entries.
+        interval must be finite and cover the recorded bound.  M is built on
+        the first request for each lambda_bar and kept; it shares this
+        Laplacian's indptr and indices when every row stores its diagonal,
+        as build_laplacian's rows do unless a vertex has no edge, and
+        otherwise scipy inserts the missing entries.
         """
+        if not np.isfinite(lambda_bar):
+            raise ValueError(f"approximant interval [0, {lambda_bar:g}] is "
+                             "not finite")
         if lambda_bar < self.lambda_max_bound * (1.0 - 1e-12):
             raise ValueError(
                 f"approximant interval [0, {lambda_bar:g}] does not cover "
@@ -191,8 +238,8 @@ class Laplacian:
 
     def with_lambda_bound(self, value):
         """Copy of this Laplacian with a replacement spectral upper bound."""
-        if value <= 0:
-            raise ValueError("spectral bound must be positive")
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError("spectral bound must be positive and finite")
         return Laplacian(kind=self.kind, n=self.n, indptr=self.indptr,
                          indices=self.indices, data=self.data,
                          lambda_max_bound=float(value), graph=self.graph)
@@ -274,6 +321,7 @@ def eigendecompose(lap, max_n=10000):
         raise ValueError(
             f"graph has {lap.n} vertices > max_n={max_n}; "
             "use polynomial-mode filtering instead of a dense factorization")
+    import scipy.linalg  # here, so that loading a graph does not load it
     vals, vecs = scipy.linalg.eigh(lap.toarray())
     vals = np.maximum(vals, 0.0)
     # the null eigenvalue is structural; keep roundoff from hiding it
@@ -328,6 +376,7 @@ def lanczos_lambda_max(lap, steps=30, seed=0):
         betas.append(beta)
         w /= beta
         v_prev, v = v, w
+    import scipy.linalg
     top = scipy.linalg.eigvalsh_tridiagonal(
         alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)[0]
     return min(lap.lambda_max_bound, 1.01 * float(top))

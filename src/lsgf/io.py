@@ -8,6 +8,7 @@ little-endian binary layout; a CSV export exists for interoperability.
 """
 
 import struct
+from io import StringIO
 
 import numpy as np
 import scipy.sparse
@@ -44,26 +45,57 @@ def load_graph_mm(path):
 
 
 def save_graph_csv(path, graph):
+    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    upper = rows < graph.indices
     with open(path, "w") as fh:
-        fh.write("src,dst,weight\n")
-        for i in range(graph.n):
-            lo, hi = graph.indptr[i], graph.indptr[i + 1]
-            for j, w in zip(graph.indices[lo:hi], graph.weights[lo:hi]):
-                if i < j:
-                    fh.write(f"{i},{j},{float(w)!r}\n")
+        fh.write("src,dst,weight\n" + "".join(
+            f"{i},{j},{w!r}\n" for i, j, w in zip(
+                rows[upper].tolist(), graph.indices[upper].tolist(),
+                graph.weights[upper].tolist())))
 
 
-def _csv_values(path, fields, convert, invalid):
+def _read_csv(path, fields, types, invalid):
+    """Columns of a CSV file's data rows, one array per field.
+
+    fields names the columns, as in 'z,value', and types gives each one's
+    Python type, int or float.  Only a first line none of whose fields is a
+    number is a header.  numpy's C reader parses the rows.  When it refuses
+    the file, _csv_values reads it again row by row and either returns what
+    Python's int and float make of each field or raises its 'line N: ...'
+    message.  numpy refuses every text that int and float refuse, so a file
+    yields the same columns and the same errors either way.
+    """
+    names = fields.split(",")
+    dtype = np.dtype([(name, np.int64 if t is int else np.float64)
+                      for name, t in zip(names, types)])
+    with open(path) as fh:
+        first = fh.readline()
+        rest = fh.read()
+    if any(_is_number(p) for p in first.strip().split(",")):
+        rest = first + rest
+    if rest.strip():  # else numpy warns of an empty file
+        try:
+            rows = np.loadtxt(StringIO(rest), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            return [rows[name].copy() for name in names]
+    flat = _csv_values(path, fields, types, invalid)
+    return [np.array(flat[k::len(names)], dtype=dtype[k])
+            for k in range(len(names))]
+
+
+def _csv_values(path, fields, types, invalid):
     """Values of a CSV file's data rows, converted row by row, in one list.
 
-    convert maps a row's list of fields to a tuple of values; fields names
-    the columns, as in 'z,value'.  Only a first line none of whose fields is
-    a number is a header.  A row with the wrong field count fails with
-    'line N: expected <fields>', one that convert rejects with a ValueError
-    with 'line N: <invalid>: <the line>'.  The list is flat, so that no
-    per-row object outlives its row for the garbage collector to scan.
+    The row loop behind _read_csv, with its header rule.  A row with the
+    wrong field count fails with 'line N: expected <fields>', one whose
+    fields int or float reject with 'line N: <invalid>: <the line>'.  The
+    list is flat, so that no per-row object outlives its row for the
+    garbage collector to scan.
     """
-    n_fields = fields.count(",") + 1
+    n_fields = len(types)
     values = []
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -76,23 +108,18 @@ def _csv_values(path, fields, convert, invalid):
             if len(parts) != n_fields:
                 raise ValueError(f"line {ln}: expected {fields}")
             try:
-                values.extend(convert(parts))
+                values.extend(t(p) for t, p in zip(types, parts))
             except ValueError:
                 raise ValueError(f"line {ln}: {invalid}: {line!r}") from None
     return values
 
 
-def _two_ids_and_weight(parts):
-    return int(parts[0]), int(parts[1]), float(parts[2])
-
-
 def load_graph_csv(path):
-    values = _csv_values(path, "src,dst,weight", _two_ids_and_weight,
-                         "expected integer src and dst ids and a weight")
-    if not values:
+    src, dst, w = _read_csv(path, "src,dst,weight", (int, int, float),
+                            "expected integer src and dst ids and a weight")
+    if not src.size:
         raise ValueError("edge list is empty")
-    src, dst, w = values[0::3], values[1::3], values[2::3]
-    n = max(max(src), max(dst)) + 1
+    n = int(max(src.max(), dst.max())) + 1
     return SparseGraph.from_edges(n, src, dst, w)
 
 
@@ -111,31 +138,27 @@ def load_graph(path):
 def save_signal_csv(path, values, header="value"):
     values = np.asarray(values, dtype=np.float64)
     with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
+        fh.write((header + "\n" if header else "")
+                 + "".join(f"{v!r}\n" for v in values.tolist()))
 
 
 def load_signal_csv(path):
-    out = _csv_values(path, "value", lambda p: (float(p[0]),),
-                      "not a number")
-    if not out:
+    (out,) = _read_csv(path, "value", (float,), "not a number")
+    if not out.size:
         raise ValueError("signal file is empty")
-    return np.array(out)
+    return out
 
 
 def save_cdf_csv(path, cdf):
     with open(path, "w") as fh:
-        fh.write("z,value\n")
-        for z, v in zip(cdf.grid, cdf.values):
-            fh.write(f"{float(z)!r},{float(v)!r}\n")
+        fh.write("z,value\n" + "".join(
+            f"{z!r},{v!r}\n"
+            for z, v in zip(cdf.grid.tolist(), cdf.values.tolist())))
 
 
 def load_cdf_csv(path):
-    flat = _csv_values(path, "z,value", lambda p: (float(p[0]), float(p[1])),
-                       "expected numeric z and value")
-    grid, values = np.array(flat, dtype=np.float64).reshape(-1, 2).T.copy()
+    grid, values = _read_csv(path, "z,value", (float, float),
+                             "expected numeric z and value")
     return SpectralCDF(grid=grid, values=values)
 
 
@@ -160,24 +183,21 @@ def save_centers_csv(path, centers):
 
 
 def load_centers_csv(path, n_bands=None):
-    values = _csv_values(path, "band,vertex,weight", _two_ids_and_weight,
-                         "expected integer band and vertex ids and a weight")
-    if not values:
+    bands, verts, wts = _read_csv(
+        path, "band,vertex,weight", (int, int, float),
+        "expected integer band and vertex ids and a weight")
+    if not bands.size:
         raise ValueError("center file is empty")
-    bands = values[0::3]
-    nb = (max(bands) + 1) if n_bands is None else n_bands
-    sets = [[] for _ in range(nb)]
-    wts = [[] for _ in range(nb)]
-    for band, vertex, weight in zip(bands, values[1::3], values[2::3]):
-        if not 0 <= band < nb:
-            raise ValueError(f"band {band} out of range")
-        sets[band].append(vertex)
-        wts[band].append(weight)
+    nb = int(bands.max()) + 1 if n_bands is None else n_bands
+    outside = np.flatnonzero((bands < 0) | (bands >= nb))
+    if outside.size:
+        raise ValueError(f"band {bands[outside[0]]} out of range")
     packed_sets, packed_w = [], []
     for j in range(nb):
-        order = np.argsort(sets[j])
-        packed_sets.append(np.asarray(sets[j], dtype=np.int64)[order])
-        packed_w.append(np.asarray(wts[j], dtype=np.float64)[order])
+        mine = bands == j
+        order = np.argsort(verts[mine])
+        packed_sets.append(verts[mine][order])
+        packed_w.append(wts[mine][order])
     return CenterSets(sets=packed_sets, weights=packed_w)
 
 

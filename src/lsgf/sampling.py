@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .chebyshev import apply_poly_filter, poly_atom
@@ -260,6 +259,7 @@ def uniqueness_partition(eig, bank, tol=1e-8):
         raise ValueError("bank kernels must cover each eigenvalue exactly "
                          "once (an ideal partition)")
 
+    import scipy.linalg  # here, so that starting the CLI does not load it
     n_bands = bank.n_kernels
     base_order = sorted(range(n_bands), key=lambda j: (-supports[j].size, j))
 

@@ -30,6 +30,12 @@ def test_heat_kernel_sup_error_small():
     assert sup_error(p, heat(lb)) <= 1e-8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+def test_fit_refuses_a_bad_interval(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        chebyshev_fit(lambda x: x, 5, bad)
+
+
 def test_call_clips_outside_interval():
     lb = 4.0
     p = chebyshev_fit(heat(lb), 20, lb)

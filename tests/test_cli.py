@@ -17,7 +17,8 @@ from lsgf.frames import (dictionary_exact, dictionary_poly, frame_bounds,
 from lsgf.generators import grid_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 from lsgf.io import (load_cdf_csv, load_centers_csv, load_coefficients,
-                     load_graph, load_signal_csv, save_graph_csv)
+                     load_graph, load_signal_csv, save_graph_csv,
+                     save_signal_csv)
 
 
 @pytest.fixture()
@@ -405,3 +406,44 @@ def test_cli_import_leaves_interpolation_unloaded(tmp_path):
             env=env, check=True, capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "[]"
     assert load_cdf_csv(tmp_path / "cdf.csv").values[-1] == 1.0
+
+
+def test_request_stages_leave_linalg_and_csgraph_unloaded(tmp_path):
+    # reading a graph checks connectivity without scipy.sparse.csgraph, and
+    # scipy.linalg loads only for exact modes, Lanczos and QR pivoting, so
+    # none of the pipeline's request stages pays for loading them
+    g, f, noisy = (tmp_path / name for name in ("g.csv", "f.csv", "n.csv"))
+    save_graph_csv(g, grid_graph(4, 5))
+    rng = np.random.default_rng(0)
+    signal = rng.standard_normal(20)
+    save_signal_csv(f, signal)
+    save_signal_csv(noisy, signal + 0.1 * rng.standard_normal(20))
+    bank = ["--design", "sgwt", "--n-bands", "4", "--degree", "12"]
+    t = str(tmp_path)
+    stages = [
+        ["spectrum-cdf", "--out", f"{t}/cdf.csv"],
+        ["transform", "--signal", str(f), *bank, "--out", f"{t}/c.lsgc"],
+        ["inverse", "--coefficients", f"{t}/c.lsgc", *bank,
+         "--out", f"{t}/r.csv"],
+        ["denoise", "--signal", str(f), "--noisy", str(noisy), "--sigma",
+         "0.1", *bank, "--out", f"{t}/d.json", "--denoised-out",
+         f"{t}/d.csv"],
+        ["compress", "--signal", str(f), "--method", "hard", "--n-terms",
+         "5,10", *bank, "--out", f"{t}/k.json"]]
+    src = str(Path(lsgf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    loaded = ("[m for m in ('scipy.linalg', 'scipy.sparse.csgraph', "
+              "'scipy.sparse.linalg', 'scipy.spatial') if m in sys.modules]")
+    code = ("import json, sys; from lsgf.cli import main; "
+            f"print({loaded}); "
+            "codes = [main([s[0], '--graph', sys.argv[1], *s[1:]]) "
+            "for s in json.loads(sys.argv[2])]; "
+            f"print(codes, {loaded})")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(g), json.dumps(stages)],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[0] == "[]"
+    assert out.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    recon = load_signal_csv(tmp_path / "r.csv")
+    assert np.linalg.norm(recon - signal) < 1e-6 * np.linalg.norm(signal)

@@ -1,18 +1,25 @@
 """Graph containers, Laplacians and eigendecompositions on small oracles."""
 
 import hashlib
+import time
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsgf.generators import (clique_chain_graph, cycle_graph,
                              erdos_renyi_graph, grid_graph, path_graph,
                              sensor_graph)
-from lsgf import _kernels
+from lsgf import _kernels, generators
 from lsgf.graphs import (SparseGraph, as_signal, build_laplacian,
-                         eigendecompose, lanczos_lambda_max, quadratic_form)
+                         component_roots, eigendecompose, lanczos_lambda_max,
+                         quadratic_form)
 
 
 def test_path3_laplacian_dense():
@@ -206,6 +213,66 @@ def test_is_connected_edge_cases():
     assert not SparseGraph.from_edges(2, [], [], []).is_connected()
 
 
+def _csgraph_roots(n, src, dst):
+    """The smallest vertex of each vertex's component, by scipy's labels."""
+    adj = scipy.sparse.coo_matrix((np.ones(len(src)), (src, dst)),
+                                  shape=(n, n))
+    _, labels = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return first[labels]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), data=st.data())
+@example(n=0, data=None)
+@example(n=1, data=None)
+@example(n=2, data=None)
+def test_component_roots_match_csgraph(n, data):
+    # random edge lists: several components, isolated vertices, repeated
+    # pairs in both orientations
+    pairs = [] if data is None or n == 0 else data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=2 * n))
+    src = np.array([a for a, _ in pairs], dtype=np.int64)
+    dst = np.array([b for _, b in pairs], dtype=np.int64)
+    roots = component_roots(n, src, dst)
+    assert np.array_equal(roots, _csgraph_roots(n, src, dst))
+    keep = src != dst
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = SparseGraph.from_edges(n, src[keep], dst[keep],
+                                   np.ones(int(keep.sum())))
+    one = np.unique(roots).size <= 1
+    assert g.is_connected() == one
+    assert len(caught) == int(bool(keep.any()) and not one)
+
+
+def test_component_roots_hook_onto_the_smallest_root():
+    # a star whose centre is its largest vertex: hooking the centre onto
+    # any smaller root instead of the smallest would join one leaf a round
+    n = 20000
+    leaves = np.arange(n - 1)
+    t0 = time.perf_counter()
+    roots = component_roots(n, leaves, np.full(n - 1, n - 1))
+    assert not roots.any()
+    assert time.perf_counter() - t0 < 2.0  # about 1 ms; 20 s leaf by leaf
+
+
+@pytest.mark.parametrize("n,k", [(300, 6), (300, 1), (300, 2), (5000, 6),
+                                 (20000, 6)])
+def test_sensor_graph_bridging_matches_csgraph_components(monkeypatch, n, k):
+    # the bridging step sees only the partition of the k-NN graph, so
+    # scipy's components must give the same graph bit for bit
+    for seed in range(4):
+        got = sensor_graph(n, k=k, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(generators, "component_roots", _csgraph_roots)
+            want = sensor_graph(n, k=k, seed=seed)
+        for a, b in zip(_csr(got), _csr(want)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.is_connected()
+
+
 def test_grid_graph_shape():
     g = grid_graph(3, 4)
     assert g.n == 12
@@ -352,6 +419,9 @@ def test_with_lambda_bound():
     assert tight.lambda_max_bound == 3.5
     assert lap.lambda_max_bound != 3.5
     assert np.array_equal(tight.data, lap.data)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lap.with_lambda_bound(bad)
 
 
 def test_as_signal_validates():

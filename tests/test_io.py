@@ -1,10 +1,14 @@
 """File format round trips and rejection paths."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lsgf import io
 from lsgf.filters import make_uniform_translates
 from lsgf.frames import analysis, dictionary_exact, synthesis
 from lsgf.generators import path_graph, sensor_graph
@@ -263,3 +267,98 @@ def test_read_keyvalue_file(tmp_path):
     p.write_text("degree = 40\n# comment\n")
     assert read_keyvalue_file(p) == {"degree": "40"}
     assert read_keyvalue_file(p, allowed={"degree"}) == {"degree": "40"}
+
+
+def test_csv_writers_format_each_value_by_repr(tmp_path):
+    # one join per file writes what the per-value loop wrote: rows of the
+    # upper triangle in CSR order, each float as repr
+    g = sensor_graph(30, seed=4)
+    p = tmp_path / "g.csv"
+    save_graph_csv(p, g)
+    lines = ["src,dst,weight"]
+    for i in range(g.n):
+        for j, w in zip(*(a[g.indptr[i]:g.indptr[i + 1]]
+                          for a in (g.indices, g.weights))):
+            if i < j:
+                lines.append(f"{i},{j},{float(w)!r}")
+    assert p.read_text() == "\n".join(lines) + "\n"
+    f = np.random.default_rng(1).standard_normal(9) * 1e-7
+    save_signal_csv(p, f)
+    assert p.read_text() == "value\n" + "".join(
+        f"{float(v)!r}\n" for v in f)
+    cdf = estimate_spectral_cdf(build_laplacian(g), n_probes=2,
+                                kpm_degree=10, n_grid=7, seed=0)
+    save_cdf_csv(p, cdf)
+    assert p.read_text() == "z,value\n" + "".join(
+        f"{float(z)!r},{float(v)!r}\n" for z, v in zip(cdf.grid, cdf.values))
+
+
+def test_graph_csv_is_parsed_without_the_row_loop(tmp_path):
+    p = tmp_path / "g.csv"
+    g = sensor_graph(60, seed=1)
+    save_graph_csv(p, g)
+    with mock.patch.object(io, "_csv_values", side_effect=AssertionError):
+        _same_graph(g, load_graph_csv(p))
+
+
+_INTS = ["0", "1", "7", "12", " 3", "4 ", "+2", "-1", "007", "1.0", "1e3",
+         "", " ", "x", "1_0", "\u0663", "0x1", "99999999999999999999",
+         "\t5", "2\xa0"]
+_FLOATS = ["1.0", "0.5", " 2.5 ", "1e-3", "-0.0", "nan", "inf", "-inf",
+           "Infinity", ".5", "5.", "+1.25", "1e400", "1_0.5", "", "abc",
+           "1e", "\u0663.5", "1 2", '"1"', "#1", "0.1\x0c"]
+_TYPES = {"src,dst,weight": (int, int, float), "value": (float,),
+          "z,value": (float, float)}
+
+
+@st.composite
+def _csv_texts(draw):
+    """(fields, text) of a CSV file with headers, blank lines, padded and bad
+    fields and wrong field counts."""
+    fields = draw(st.sampled_from(sorted(_TYPES)))
+    types = _TYPES[fields]
+    lines = []
+    header = draw(st.sampled_from(["", fields, "a,b", "x,1,y", " ", "2"]))
+    if header:
+        lines.append(header)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "count"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        width = len(types) + (draw(st.sampled_from([-1, 1]))
+                              if kind == "count" else 0)
+        cols = [types[min(k, len(types) - 1)] for k in range(max(width, 1))]
+        lines.append(",".join(
+            draw(st.sampled_from(_INTS if t is int else _FLOATS)
+                 if draw(st.integers(0, 4)) == 0
+                 else st.sampled_from(_INTS[:4] if t is int
+                                      else _FLOATS[:4])) for t in cols))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    last = draw(st.sampled_from(["", end]))
+    return fields, end.join(lines) + last
+
+
+def _outcome(call):
+    try:
+        return [c.dtype.str + c.tobytes().hex() for c in call()]
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_texts())
+@example(case=("src,dst,weight", "src,dst,weight\n0,1,1.0\n1,2,2.5\n"))
+@example(case=("value", ""))
+@example(case=("value", "value\n \n"))
+@example(case=("z,value", "\n0.5,1.0\n"))
+def test_numpy_reader_agrees_with_the_row_loop(tmp_path_factory, case):
+    # numpy's reader returns the same columns as the row loop or refuses
+    # the file, which the row loop then reads with its own messages
+    fields, text = case
+    p = tmp_path_factory.mktemp("csv") / "f.csv"
+    p.write_bytes(text.encode())
+    read = lambda: io._read_csv(p, fields, _TYPES[fields], "invalid")
+    got = _outcome(read)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        assert _outcome(read) == got

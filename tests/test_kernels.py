@@ -220,6 +220,17 @@ def test_interval_below_the_bound_is_refused(lap):
             call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_interval_is_refused(lap, bad):
+    # NaN slips past both comparisons against the bound, and inf past the
+    # lower one; either would cache an all-NaN operator
+    p = ChebyshevApprox(3, np.ones(4), bad)
+    with pytest.raises(ValueError, match="is not finite"):
+        apply_poly_filter(p, lap, np.ones(lap.n))
+    assert bad not in lap._operators and not any(
+        np.isnan(k) for k in lap._operators)
+
+
 def _dense_s(lap, lambda_bar):
     s = 2.0 * lap.toarray() / lambda_bar - np.eye(lap.n)
     return np.linalg.eigh(s)

@@ -4,9 +4,12 @@ Each side is a checkout holding perfbench/run.py and src/lsgf.  Pair i runs
 both sides once for SECONDS at --trace 0, the parent first in even pairs and
 the change first in odd ones, so drift of the host over a run does not
 favour a side.  There are PAIRS pairs, the fewest that can show a side
-winning 9 of 10.  Each side then makes one --trace 1 run for the per-layer
-figures.  The workload's entry is added to --out (a JSON object keyed by
-workload), creating the file if needed:
+winning 9 of 10.  Besides the end-to-end metrics, each untraced run's
+detail line gives the median wall time of every part of a request
+(``parts_p50_s``: the CLI stages, or denoise and round trip), summarized the
+same way under "parts".  Each side then makes one --trace 1 run for the
+per-layer figures.  The workload's entry is added to --out (a JSON object
+keyed by workload), creating the file if needed:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload adapt-grid --seed 7301 --out BENCH_7.json
@@ -40,6 +43,13 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def paired(values):
+    """Each side's summary and the pairs in which the change is lower."""
+    return {**{side: summary(v) for side, v in values.items()},
+            "change_better_pairs": sum(
+                c < p for p, c in zip(values["parent"], values["change"]))}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
@@ -51,6 +61,7 @@ def main(argv=None):
     sides = {"parent": args.parent, "change": args.change}
 
     runs = {side: [] for side in sides}
+    parts = {side: [] for side in sides}
     env = None
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -58,6 +69,7 @@ def main(argv=None):
             detail, result = run(sides[side], args.workload, args.seed, 0)
             env = env or detail["env"]
             runs[side].append(result)
+            parts[side].append(detail["parts_p50_s"])
             print(f"pair {i} {side}: " + json.dumps(
                 {m: result["metrics"][m]["value"] for m in METRICS}),
                 file=sys.stderr, flush=True)
@@ -68,12 +80,15 @@ def main(argv=None):
                                        for r in runs[side])
                              for side in sides}}
     for m in METRICS:
-        values = {side: [r["metrics"][m]["value"] for r in runs[side]]
-                  for side in sides}
-        entry["end_to_end"][m] = {
-            **{side: summary(values[side]) for side in sides},
-            "change_better_pairs": sum(
-                c < p for p, c in zip(values["parent"], values["change"]))}
+        entry["end_to_end"][m] = paired(
+            {side: [r["metrics"][m]["value"] for r in runs[side]]
+             for side in sides})
+    # a part no request of some run finished has no median there
+    names = set.intersection(*(set(p) for side in sides for p in parts[side]))
+    entry["parts"] = {
+        name: paired({side: [p[name] for p in parts[side]]
+                      for side in sides})
+        for name in sorted(names)}
     entry["per_layer"] = {}
     for side in sides:
         detail, result = run(sides[side], args.workload, args.seed, 1)
