@@ -3,8 +3,9 @@
 Subcommands cover the full workflow: generate graphs and test signals,
 estimate spectral CDFs, design filter banks, select sampling centers, run
 the forward and inverse transforms, and execute the denoise / compress
-pipelines with JSON metric reports.  Any flag can also be supplied through
-a key = value config file via --config; explicit flags win.
+pipelines with JSON metric reports.  Any flag that argparse does not
+require can also be supplied through a key = value config file via
+--config; explicit flags win.
 """
 
 import argparse
@@ -22,83 +23,53 @@ from .frames import InverseInfo, analysis, dictionary_exact, dictionary_poly
 from .graphs import build_laplacian, eigendecompose
 from .spectrum import estimate_spectral_cdf, exact_spectral_cdf
 
-BANK_KEYS = ("design", "n_bands", "spacing", "warp", "nu",
-             "k_scale", "cdf_file", "energy_cdf_file", "shift_edges")
-
-
 def _add_bank_options(p):
     g = p.add_argument_group("filter bank")
-    g.add_argument("--bank-spec", help="key = value file with bank options")
-    g.add_argument("--design",
+    g.add_argument("--design", default="itersine",
                    choices=["ideal", "hann", "itersine", "meyer", "dct",
                             "sgwt"])
-    g.add_argument("--n-bands", type=int)
-    g.add_argument("--spacing", choices=["uniform", "octave"])
-    g.add_argument("--warp",
+    g.add_argument("--n-bands", type=int, default=6)
+    g.add_argument("--spacing", choices=["uniform", "octave"],
+                   default="uniform")
+    g.add_argument("--warp", default="none",
                    choices=["none", "log", "spectrum_cdf",
                             "log_spectrum_cdf", "energy_cdf"])
-    g.add_argument("--nu", type=float)
-    g.add_argument("--k-scale", type=float)
+    g.add_argument("--nu", type=float, default=10.0)
+    g.add_argument("--k-scale", type=float, default=20.0)
     g.add_argument("--cdf-file")
     g.add_argument("--energy-cdf-file")
-    g.add_argument("--shift-edges", action="store_true", default=None)
+    g.add_argument("--shift-edges", action="store_true")
 
 
-def _bank_spec_from_args(args):
-    spec = {"design": "itersine", "n_bands": 6, "spacing": "uniform",
-            "warp": "none", "nu": 10.0, "k_scale": 20.0, "cdf_file": None,
-            "energy_cdf_file": None, "shift_edges": False}
-    if getattr(args, "bank_spec", None):
-        raw = io.read_keyvalue_file(args.bank_spec, allowed=set(BANK_KEYS))
-        for key, value in raw.items():
-            if key in ("n_bands",):
-                spec[key] = int(value)
-            elif key in ("nu", "k_scale"):
-                spec[key] = float(value)
-            elif key == "shift_edges":
-                spec[key] = value.lower() in ("1", "true", "yes")
-            else:
-                spec[key] = value
-    for key in BANK_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            spec[key] = flag
-    if spec["warp"] in (None, ""):
-        spec["warp"] = "none"
-    return spec
-
-
-def _resolve_cdf(spec, lap, args, energy=False):
-    path = spec["energy_cdf_file"] if energy else spec["cdf_file"]
+def _resolve_cdf(args, lap, energy=False):
+    path = args.energy_cdf_file if energy else args.cdf_file
     if path:
         return io.load_cdf_csv(path)
     if energy:
         raise ValueError("energy_cdf warp needs --energy-cdf-file")
     if lap is None:
         raise ValueError("spectral adaptation needs a graph or --cdf-file")
-    return estimate_spectral_cdf(lap, seed=getattr(args, "seed", 0))
+    return estimate_spectral_cdf(lap, seed=args.seed)
 
 
-def build_bank(spec, lambda_bar, lap=None, args=None):
-    """Construct a filter bank from a resolved spec dictionary."""
-    design = spec["design"]
-    n_bands = int(spec["n_bands"])
-    warp_kind = spec["warp"]
+def build_bank(args, lambda_bar, lap=None):
+    """Construct the filter bank that the parsed bank options describe."""
+    design, n_bands, warp_kind = args.design, args.n_bands, args.warp
     if design == "ideal":
         cdf = None
-        if spec["cdf_file"] or spec["shift_edges"]:
-            cdf = _resolve_cdf(spec, lap, args)
+        if args.cdf_file or args.shift_edges:
+            cdf = _resolve_cdf(args, lap)
         bank = make_ideal_partition(lambda_bar, n_bands,
-                                    spacing=spec["spacing"], cdf=cdf)
-        if spec["shift_edges"]:
+                                    spacing=args.spacing, cdf=cdf)
+        if args.shift_edges:
             bank = shift_edges_to_sparse_regions(bank, cdf)
         return bank
     if design == "sgwt":
-        return make_sgwt(lambda_bar, n_bands, k_scale=float(spec["k_scale"]))
+        return make_sgwt(lambda_bar, n_bands, k_scale=args.k_scale)
     if design == "dct":
         warp = None
         if warp_kind == "log":
-            warp = Warping("log", lambda_bar, nu=float(spec["nu"]))
+            warp = Warping("log", lambda_bar, nu=args.nu)
         elif warp_kind != "none":
             raise ValueError("dct bands support warp none or log")
         return make_dct_bands(lambda_bar, n_bands, warp=warp)
@@ -107,22 +78,23 @@ def build_bank(spec, lambda_bar, lap=None, args=None):
         return make_uniform_translates(lambda_bar, n_bands, design)
     if warp_kind == "log":
         return make_log_warped_translates(lambda_bar, n_bands, design,
-                                          nu=float(spec["nu"]))
+                                          nu=args.nu)
     if warp_kind in ("spectrum_cdf", "log_spectrum_cdf"):
-        cdf = _resolve_cdf(spec, lap, args)
+        cdf = _resolve_cdf(args, lap)
         return make_adapted_translates(lambda_bar, n_bands, cdf, design,
                                        wavelet=warp_kind == "log_spectrum_cdf",
-                                       nu=float(spec["nu"]))
+                                       nu=args.nu)
     if warp_kind == "energy_cdf":
-        ecdf = _resolve_cdf(spec, lap, args, energy=True)
+        ecdf = _resolve_cdf(args, lap, energy=True)
         return make_adapted_translates(lambda_bar, n_bands, ecdf, design,
                                        energy=True)
     raise ValueError(f"unsupported warp {warp_kind!r}")
 
 
 def _load_lap(args):
-    graph = io.load_graph(args.graph)
-    return graph, build_laplacian(graph, kind=args.laplacian)
+    if not args.graph:
+        raise ValueError("--graph is required")
+    return build_laplacian(io.load_graph(args.graph), kind=args.laplacian)
 
 
 def _build_dictionary(args, lap, bank, centers=None):
@@ -131,14 +103,6 @@ def _build_dictionary(args, lap, bank, centers=None):
         return dictionary_exact(lap, bank, eig, centers=centers)
     return dictionary_poly(lap, bank, args.degree, jackson=args.jackson,
                            centers=centers)
-
-
-def _add_transform_options(p):
-    p.add_argument("--laplacian", choices=["combinatorial", "normalized"],
-                   default="combinatorial")
-    p.add_argument("--mode", choices=["exact", "poly"], default="poly")
-    p.add_argument("--degree", type=int, default=40)
-    p.add_argument("--jackson", action="store_true")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +143,7 @@ def cmd_generate(args):
 
 
 def cmd_spectrum_cdf(args):
-    _, lap = _load_lap(args)
+    lap = _load_lap(args)
     if args.cdf_mode == "exact":
         eig = eigendecompose(lap)
         cdf = exact_spectral_cdf(eig, lambda_bar=lap.lambda_max_bound)
@@ -197,7 +161,7 @@ def cmd_design(args):
         raise ValueError("--n-grid must be at least 2")
     lap = None
     if args.graph:
-        _, lap = _load_lap(args)
+        lap = _load_lap(args)
         lambda_bar = lap.lambda_max_bound
     elif args.lambda_bar is not None:
         if not (np.isfinite(args.lambda_bar) and args.lambda_bar > 0):
@@ -205,8 +169,7 @@ def cmd_design(args):
         lambda_bar = args.lambda_bar
     else:
         raise ValueError("need --graph or --lambda-bar")
-    spec = _bank_spec_from_args(args)
-    bank = build_bank(spec, lambda_bar, lap=lap, args=args)
+    bank = build_bank(args, lambda_bar, lap)
     grid = np.linspace(0.0, lambda_bar, args.n_grid)
     vals = bank.evaluate(grid)
     with open(args.out, "w") as fh:
@@ -222,9 +185,8 @@ def cmd_design(args):
 
 
 def cmd_sample(args):
-    _, lap = _load_lap(args)
-    spec = _bank_spec_from_args(args)
-    bank = build_bank(spec, lap.lambda_max_bound, lap=lap, args=args)
+    lap = _load_lap(args)
+    bank = build_bank(args, lap.lambda_max_bound, lap)
     if args.method == "uniqueness":
         eig = eigendecompose(lap)
         centers = sampling.uniqueness_partition(eig, bank)
@@ -266,10 +228,9 @@ def cmd_sample(args):
 
 
 def cmd_transform(args):
-    _, lap = _load_lap(args)
+    lap = _load_lap(args)
     f = io.load_signal_csv(args.signal)
-    spec = _bank_spec_from_args(args)
-    bank = build_bank(spec, lap.lambda_max_bound, lap=lap, args=args)
+    bank = build_bank(args, lap.lambda_max_bound, lap)
     centers = None
     if args.centers:
         centers = io.load_centers_csv(args.centers,
@@ -285,9 +246,8 @@ def cmd_transform(args):
 
 
 def cmd_inverse(args):
-    _, lap = _load_lap(args)
-    spec = _bank_spec_from_args(args)
-    bank = build_bank(spec, lap.lambda_max_bound, lap=lap, args=args)
+    lap = _load_lap(args)
+    bank = build_bank(args, lap.lambda_max_bound, lap)
     coeffs = io.load_coefficients(args.coefficients, lap.n)
     d = _build_dictionary(args, lap, bank, centers=coeffs.centers)
     f, info = tasks.reconstruct(d, coeffs, args.method.replace("-", "_"),
@@ -305,12 +265,6 @@ def cmd_inverse(args):
     return 0
 
 
-def _pipeline_dictionary(args, lap):
-    spec = _bank_spec_from_args(args)
-    bank = build_bank(spec, lap.lambda_max_bound, lap=lap, args=args)
-    return _build_dictionary(args, lap, bank)
-
-
 def _solver_report(info):
     """JSON form of CG convergence info; None for the non-CG inverses.
 
@@ -326,13 +280,14 @@ def _solver_report(info):
 def cmd_denoise(args):
     if args.sigma is None or args.sigma <= 0:
         raise ValueError("--sigma must be a positive noise level")
-    _, lap = _load_lap(args)
+    lap = _load_lap(args)
     clean = io.load_signal_csv(args.signal)
     if args.noisy:
         noisy = io.load_signal_csv(args.noisy)
     else:
         noisy = tasks.add_noise(clean, args.sigma, seed=args.noise_seed)
-    d = _pipeline_dictionary(args, lap)
+    bank = build_bank(args, lap.lambda_max_bound, lap)
+    d = _build_dictionary(args, lap, bank)
     cfg = tasks.DenoiseConfig(sigma=args.sigma,
                               inverse=args.method.replace("-", "_"),
                               frame_iterations=args.iterations)
@@ -353,9 +308,10 @@ def cmd_denoise(args):
 
 
 def cmd_compress(args):
-    _, lap = _load_lap(args)
+    lap = _load_lap(args)
     f = io.load_signal_csv(args.signal)
-    d = _pipeline_dictionary(args, lap)
+    bank = build_bank(args, lap.lambda_max_bound, lap)
+    d = _build_dictionary(args, lap, bank)
     budgets = sorted({int(t) for t in args.n_terms.split(",")})
     if budgets[0] < 1:
         raise ValueError("sparsity budgets must be positive")
@@ -403,7 +359,12 @@ def cmd_compress(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    """Return the argument parser plus a dict of its subparsers."""
+    """Return the argument parser plus a dict of its subparsers.
+
+    Flags that several subcommands share are declared once, on parent
+    parsers whose action objects the subcommands share, so config defaults
+    written onto those actions stay with the parser built by this call.
+    """
     ap = argparse.ArgumentParser(
         prog="lsgf",
         description="Localized spectral graph filter frames")
@@ -411,7 +372,23 @@ def build_parser():
                                      "place before the subcommand")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a graph and test signal")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", help="edge-list CSV or Matrix Market file; "
+                                       "required except by design")
+    graph.add_argument("--laplacian", choices=["combinatorial", "normalized"],
+                       default="combinatorial")
+    bank = argparse.ArgumentParser(add_help=False)
+    _add_bank_options(bank)
+    frame = argparse.ArgumentParser(add_help=False, parents=[graph, bank])
+    frame.add_argument("--mode", choices=["exact", "poly"], default="poly")
+    frame.add_argument("--degree", type=int, default=40)
+    frame.add_argument("--jackson", action="store_true")
+
+    p = sub.add_parser("generate", help="generate a graph and test signal",
+                       parents=[run])
     p.add_argument("--kind", required=True,
                    choices=["path", "cycle", "grid", "erdos-renyi",
                             "sensor"])
@@ -420,42 +397,29 @@ def build_parser():
     p.add_argument("--cols", type=int, default=10)
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--k", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--signal", default="none",
                    choices=["none", "piecewise-smooth", "piecewise-constant"])
     p.add_argument("--signal-out")
     p.add_argument("--n-parts", type=int, default=4)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("spectrum-cdf", help="estimate the spectral CDF")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--laplacian", choices=["combinatorial", "normalized"],
-                   default="combinatorial")
+    p = sub.add_parser("spectrum-cdf", help="estimate the spectral CDF",
+                       parents=[graph, run])
     p.add_argument("--cdf-mode", choices=["exact", "estimate"],
                    default="estimate")
     p.add_argument("--n-probes", type=int, default=10)
     p.add_argument("--kpm-degree", type=int, default=30)
     p.add_argument("--n-grid", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spectrum_cdf)
 
-    p = sub.add_parser("design", help="design a filter bank and export it")
-    p.add_argument("--graph")
-    p.add_argument("--laplacian", choices=["combinatorial", "normalized"],
-                   default="combinatorial")
+    p = sub.add_parser("design", help="design a filter bank and export it",
+                       parents=[graph, bank, run])
     p.add_argument("--lambda-bar", type=float)
     p.add_argument("--n-grid", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_bank_options(p)
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("sample", help="select center vertices per band")
-    p.add_argument("--graph", required=True)
-    _add_transform_options(p)
-    _add_bank_options(p)
+    p = sub.add_parser("sample", help="select center vertices per band",
+                       parents=[frame, run])
     p.add_argument("--method", choices=["random", "greedy", "uniqueness"],
                    default="random")
     p.add_argument("--weights", choices=["uniform", "probe", "signal"],
@@ -464,63 +428,43 @@ def build_parser():
     p.add_argument("--counts", help="comma-separated per-band counts")
     p.add_argument("--total", type=int, default=0)
     p.add_argument("--n-probes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("transform", help="analysis coefficients of a signal")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("transform", help="analysis coefficients of a signal",
+                       parents=[frame, run])
     p.add_argument("--signal", required=True)
     p.add_argument("--centers")
-    _add_transform_options(p)
-    _add_bank_options(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--csv-out")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("inverse", help="reconstruct a signal from "
-                                       "coefficients")
-    p.add_argument("--graph", required=True)
+                                       "coefficients", parents=[frame, run])
     p.add_argument("--coefficients", required=True)
-    _add_transform_options(p)
-    _add_bank_options(p)
     p.add_argument("--method", choices=["cg", "frame-iter", "single-pass"],
                    default="cg")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("denoise", help="noise, threshold, reconstruct, "
-                                       "report")
-    p.add_argument("--graph", required=True)
+                                       "report", parents=[frame, run])
     p.add_argument("--signal", required=True, help="clean reference signal")
     p.add_argument("--noisy", help="noisy input; generated when omitted")
     p.add_argument("--sigma", type=float)
     p.add_argument("--noise-seed", type=int, default=0)
-    _add_transform_options(p)
-    _add_bank_options(p)
     p.add_argument("--method", choices=["cg", "frame-iter", "single-pass"],
                    default="cg")
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--denoised-out")
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("compress", help="sparse approximation error curve")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("compress", help="sparse approximation error curve",
+                       parents=[frame, run])
     p.add_argument("--signal", required=True)
-    _add_transform_options(p)
-    _add_bank_options(p)
     p.add_argument("--method", choices=["omp", "hard"], default="omp")
     p.add_argument("--n-terms", default="50",
                    help="comma-separated sparsity budgets")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--curve-out")
     p.add_argument("--recon-out")
     p.set_defaults(func=cmd_compress)
@@ -554,9 +498,9 @@ def _apply_config_defaults(subparser, defaults):
 
 def main(argv=None):
     ap, subparsers = build_parser()
-    args, _ = ap.parse_known_args(argv)
+    args = ap.parse_args(argv)
     try:
-        if getattr(args, "config", None):
+        if args.config:
             defaults = io.read_keyvalue_file(args.config)
             _apply_config_defaults(subparsers[args.command], defaults)
             args = ap.parse_args(argv)

@@ -41,8 +41,9 @@ class Warping:
         if self.kind not in ("log", "spectrum_cdf", "log_spectrum_cdf",
                             "energy_cdf"):
             raise ValueError(f"unknown warping kind {self.kind!r}")
-        if self.kind != "spectrum_cdf" and self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if self.kind != "spectrum_cdf" and not (np.isfinite(self.nu)
+                                                and self.nu > 0):
+            raise ValueError("nu must be positive and finite")
         if self.kind != "log" and self.cdf is None:
             raise ValueError(f"{self.kind} warping needs a CDF")
 

@@ -395,6 +395,8 @@ def solve_cg(op, b, tol, max_iter, precond=None):
     iterations, or on vanishing curvature, and returns the iterate with the
     smallest relative residual together with convergence info.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     # the kernels' einsum reductions: see _kernels on BLAS threads
     bnorm = _kernels._norm(b)
     if bnorm == 0:

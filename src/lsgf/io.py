@@ -20,6 +20,7 @@ from .spectrum import SpectralCDF
 
 COEFF_MAGIC = b"LSGC"
 COEFF_VERSION = 1
+_INT64 = np.iinfo(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +92,10 @@ def _csv_values(path, fields, types, invalid):
 
     The row loop behind _read_csv, with its header rule.  A row with the
     wrong field count fails with 'line N: expected <fields>', one whose
-    fields int or float reject with 'line N: <invalid>: <the line>'.  The
-    list is flat, so that no per-row object outlives its row for the
-    garbage collector to scan.
+    fields int or float reject with 'line N: <invalid>: <the line>', and
+    one whose integer does not fit int64 says so.  The list is flat, so
+    that no per-row object outlives its row for the garbage collector to
+    scan.
     """
     n_fields = len(types)
     values = []
@@ -108,9 +110,13 @@ def _csv_values(path, fields, types, invalid):
             if len(parts) != n_fields:
                 raise ValueError(f"line {ln}: expected {fields}")
             try:
-                values.extend(t(p) for t, p in zip(types, parts))
+                row = [t(p) for t, p in zip(types, parts)]
             except ValueError:
                 raise ValueError(f"line {ln}: {invalid}: {line!r}") from None
+            if any(t is int and not _INT64.min <= v <= _INT64.max
+                   for t, v in zip(types, row)):
+                raise ValueError(f"line {ln}: integer outside int64: {line!r}")
+            values.extend(row)
     return values
 
 

@@ -46,6 +46,8 @@ def nonuniform_weights(d, n_probes=10, seed=0):
     """
     if d.mode != "poly":
         raise ValueError("sampling weights are estimated in polynomial mode")
+    if n_probes < 1:
+        raise ValueError("n_probes must be at least 1")
     acc = np.zeros((d.n_bands, d.lap.n))
     for ts in _kernels.probe_blocks(n_probes):
         samples = d.filter_all(np.column_stack(

@@ -1,13 +1,18 @@
 """End-to-end command-line workflows in temporary directories."""
 
+import contextlib
+import io
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lsgf
 from lsgf.cli import main
@@ -16,9 +21,9 @@ from lsgf.frames import (dictionary_exact, dictionary_poly, frame_bounds,
                          inverse_frame_iteration, inverse_single_pass)
 from lsgf.generators import grid_graph
 from lsgf.graphs import build_laplacian, eigendecompose
-from lsgf.io import (load_cdf_csv, load_centers_csv, load_coefficients,
-                     load_graph, load_signal_csv, save_graph_csv,
-                     save_signal_csv)
+from lsgf.io import (_is_number, load_cdf_csv, load_centers_csv,
+                     load_coefficients, load_graph, load_signal_csv,
+                     save_graph_csv, save_signal_csv)
 
 
 @pytest.fixture()
@@ -285,6 +290,28 @@ def test_config_boolean_conversion(workspace):
         assert np.array_equal(a.bands[j], b.bands[j])
 
 
+@pytest.mark.parametrize("conf, flags", [
+    ("design = ideal\nn_bands = 3\nspacing = octave\nshift_edges = yes\n",
+     ["--design", "ideal", "--n-bands", "3", "--spacing", "octave",
+      "--shift-edges"]),
+    ("design = meyer\nn_bands = 4\nwarp = log\nnu = 5\n",
+     ["--design", "meyer", "--n-bands", "4", "--warp", "log", "--nu", "5"]),
+    ("design = sgwt\nk_scale = 8.5\n", ["--design", "sgwt", "--k-scale",
+                                          "8.5"])])
+def test_config_carries_bank_options(workspace, conf, flags):
+    # the bank keys go through the same config path as every other flag
+    tmp_path, g, f = workspace
+    (tmp_path / "bank.conf").write_text(conf)
+    via_conf = tmp_path / "a.lsgc"
+    via_flag = tmp_path / "b.lsgc"
+    assert main(["--config", str(tmp_path / "bank.conf"), "transform",
+                 "--graph", str(g), "--signal", str(f), "--out",
+                 str(via_conf)]) == 0
+    assert main(["transform", "--graph", str(g), "--signal", str(f), *flags,
+                 "--out", str(via_flag)]) == 0
+    assert via_conf.read_bytes() == via_flag.read_bytes()
+
+
 def test_config_rejects_bad_keys_and_values(workspace):
     tmp_path, g, f = workspace
     conf = tmp_path / "conf"
@@ -374,6 +401,11 @@ def test_malformed_input_exits_2(workspace, capsys):
         ["design", "--lambda-bar", "inf", "--out", str(tmp / "bank.csv")],
         ["design", "--lambda-bar", "4", "--n-grid", "1", "--out",
          str(tmp / "bank.csv")],
+        ["transform", "--graph", str(g), "--signal", str(f), "--out",
+         str(tmp / "c.lsgc"), "--warp", "log", "--nu", "nan"],
+        ["transform", "--graph", str(g), "--signal", str(f), "--out",
+         str(tmp / "c.lsgc"), "--design", "dct", "--warp", "log", "--nu",
+         "inf"],
     ]
     capsys.readouterr()
     for argv in bad:
@@ -382,6 +414,110 @@ def test_malformed_input_exits_2(workspace, capsys):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "generate", "spectrum-cdf", "design", "sample", "transform", "inverse",
+    "denoise", "compress"])
+def test_unknown_flags_exit_2(workspace, capsys, command):
+    # a mistyped flag must not be dropped in favour of its default
+    tmp, g, f = workspace
+    g, f, out = str(g), str(f), tmp / "out"
+    required = {"generate": ["--kind", "path"],
+                "spectrum-cdf": ["--graph", g],
+                "design": ["--lambda-bar", "4"],
+                "sample": ["--graph", g],
+                "inverse": ["--graph", g, "--coefficients", f]}
+    argv = [command, *required.get(command, ["--graph", g, "--signal", f]),
+            "--out", str(out)]
+    conf = tmp / "conf"
+    conf.write_text("seed = 1\n")
+    for prefix in ([], ["--config", str(conf)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*prefix, *argv, "--n-bnads", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-bnads 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inverse_rejects_a_bad_tolerance(workspace, capsys):
+    tmp, g, f = workspace
+    c = tmp / "c.lsgc"
+    r = tmp / "r.csv"
+    assert main(["transform", "--graph", str(g), "--signal", str(f),
+                 "--out", str(c)]) == 0
+    capsys.readouterr()
+    for tol in ("nan", "-1", "0", "inf"):
+        assert main(["inverse", "--graph", str(g), "--coefficients", str(c),
+                     "--tol", tol, "--out", str(r)]) == 2, tol
+        assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not r.exists()
+
+
+def test_sample_rejects_zero_probes(workspace, capsys):
+    tmp, g, f = workspace
+    out = tmp / "cen.csv"
+    assert main(["sample", "--graph", str(g), "--total", "12",
+                 "--n-probes", "0", "--out", str(out)]) == 2
+    assert "n_probes must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_EDGES = ["0,1,1.0", "1,2,0.5", "2,3,2.0"]
+_JUNK = string.ascii_letters + string.punctuation.replace(",", "") + " "
+
+
+@st.composite
+def _malformed_rows(draw):
+    """One edge-list row that the graph reader must refuse."""
+    kind = draw(st.sampled_from(["count", "junk", "float id", "huge id",
+                                 "negative id", "self-loop", "weight",
+                                 "conflict"]))
+    src, dst = draw(st.sampled_from([(0, 1), (1, 2), (0, 3), (3, 2)]))
+    fields = [str(src), str(dst), "1.0"]
+    if kind == "count":
+        width = draw(st.sampled_from([1, 2, 4, 5]))
+        fields = (fields + ["1.0", "1.0"])[:width]
+    elif kind == "junk":
+        fields[draw(st.integers(0, 2))] = draw(
+            st.text(_JUNK, min_size=1, max_size=8).filter(
+                lambda s: not _is_number(s)))
+    elif kind == "float id":
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(
+            ["1.5", "2.0", "1e3", "nan"]))
+    elif kind == "huge id":
+        fields[draw(st.integers(0, 1))] = str(draw(st.one_of(
+            st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1))))
+    elif kind == "negative id":
+        fields[draw(st.integers(0, 1))] = str(
+            draw(st.integers(-2**63, -1)))
+    elif kind == "self-loop":
+        fields[1] = fields[0]
+    elif kind == "weight":
+        fields[2] = draw(st.sampled_from(
+            ["0", "-0.0", "-1.5", "nan", "inf", "-inf", "1e400"]))
+    else:
+        # the path's own edge 0-1 again, in either orientation, reweighted
+        fields = [*draw(st.permutations(["0", "1"])), draw(
+            st.floats(0.01, 100).filter(lambda w: w != 1.0).map(repr))]
+    return ",".join(fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=_malformed_rows(), at=st.integers(0, len(_EDGES)))
+@example(row="1,99999999999999999999,1.0", at=1)
+def test_malformed_edge_rows_exit_2(tmp_path_factory, row, at):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    g = tmp / "g.csv"
+    out = tmp / "cdf.csv"
+    rows = _EDGES[:at] + [row] + _EDGES[at:]
+    g.write_text("src,dst,weight\n" + "\n".join(rows) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["spectrum-cdf", "--graph", str(g), "--out", str(out)])
+    assert rc == 2, row
+    assert err.getvalue().startswith("error:"), row
+    assert not out.exists()
 
 
 def test_cli_import_leaves_interpolation_unloaded(tmp_path):

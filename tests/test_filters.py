@@ -221,8 +221,9 @@ def test_warping_validation():
         Warping("bogus", LB)
     with pytest.raises(ValueError, match="needs a CDF"):
         Warping("spectrum_cdf", LB)
-    with pytest.raises(ValueError, match="nu"):
-        Warping("log", LB, nu=0.0)
+    for nu in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            Warping("log", LB, nu=nu)
 
 
 def test_kernel_unknown_family():

@@ -18,7 +18,7 @@ from lsgf.frames import (Coefficients, analysis, atom_norm_estimate,
                          dictionary_exact, dictionary_poly, frame_bounds,
                          inverse_cg, inverse_frame_iteration,
                          inverse_single_pass, single_pass_error_bound,
-                         synthesis)
+                         solve_cg, synthesis)
 from lsgf.generators import clique_chain_graph, path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 
@@ -570,3 +570,11 @@ def test_synthesis_is_adjoint_of_analysis(setup, seed, mode):
     lhs = sum(float(a @ b) for a, b in zip(analysis(d, f).bands, c.bands))
     rhs = float(f @ synthesis(d, c))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * c.norm()
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_solve_cg_rejects_a_bad_tolerance(tol):
+    # a NaN or negative tol never stops CG, so it would silently run to
+    # max_iter and report a "solution"
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_cg(lambda p: 2.0 * p, np.ones(4), tol, 10)

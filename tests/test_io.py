@@ -77,6 +77,18 @@ def test_graph_csv_rejects_malformed(tmp_path):
             load_graph_csv(p)
 
 
+def test_csv_ids_outside_int64_are_rejected(tmp_path):
+    # Python's int takes any id, the int64 columns do not
+    p = tmp_path / "big.csv"
+    for big in ("99999999999999999999", "-99999999999999999999"):
+        p.write_text(f"src,dst,weight\n0,1,1.0\n1,{big},1.0\n")
+        with pytest.raises(ValueError, match="line 3: integer outside int64"):
+            load_graph_csv(p)
+        p.write_text(f"band,vertex,weight\n0,{big},0.5\n")
+        with pytest.raises(ValueError, match="line 2: integer outside int64"):
+            load_centers_csv(p)
+
+
 def test_graph_csv_headerless(tmp_path):
     p = tmp_path / "plain.csv"
     p.write_text("0,1,1.0\n1,2,2.0\n")

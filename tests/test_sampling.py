@@ -38,6 +38,14 @@ def test_nonuniform_weights_are_distributions(setup):
     assert not np.array_equal(w, nonuniform_weights(dp, n_probes=8, seed=1))
 
 
+def test_weights_need_a_probe(setup):
+    # checked before the probe mean divides by n_probes
+    g, lap, eig, bank, dp = setup
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n_probes must be at least 1"):
+            nonuniform_weights(dp, n_probes=n)
+
+
 def test_weights_require_poly_mode(setup):
     g, lap, eig, bank, dp = setup
     de = dictionary_exact(lap, bank, eig)

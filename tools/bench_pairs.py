@@ -8,8 +8,18 @@ winning 9 of 10.  Besides the end-to-end metrics, each untraced run's
 detail line gives the median wall time of every part of a request
 (``parts_p50_s``: the CLI stages, or denoise and round trip), summarized the
 same way under "parts".  Each side then makes one --trace 1 run for the
-per-layer figures.  The workload's entry is added to --out (a JSON object
-keyed by workload), creating the file if needed:
+per-layer figures.  Each end-to-end metric's entry carries the verdict
+the benchmark's rules give it, with the bound read from the change's
+BENCHMARK.json:
+
+- ``claim_met``: the change is better in at least WIN_PAIRS of the pairs,
+  and its median beats the parent's by more than the parent's quartile
+  spread (q3 - q1), as a claimed gain must;
+- ``within_bound``: the change's median is worse than the parent's by at
+  most the metric's relative bound, as every metric must be.
+
+The workload's entry is added to --out (a JSON object keyed by workload),
+creating the file if needed:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload adapt-grid --seed 7301 --out BENCH_7.json
@@ -22,8 +32,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("setup_s", "request_p50_s", "peak_rss_mb")  # all: lower is better
 PAIRS = 10
+WIN_PAIRS = 9
 SECONDS = 38.0  # the run length BENCHMARK.json gives each workload
 
 
@@ -43,11 +53,24 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def paired(values):
-    """Each side's summary and the pairs in which the change is lower."""
+def paired(values, lower=True):
+    """Each side's summary and the pairs in which the change is better."""
+    sign = 1 if lower else -1
     return {**{side: summary(v) for side, v in values.items()},
             "change_better_pairs": sum(
-                c < p for p, c in zip(values["parent"], values["change"]))}
+                sign * (p - c) > 0
+                for p, c in zip(values["parent"], values["change"]))}
+
+
+def verdict(entry, spec):
+    """claim_met and within_bound of one metric's paired entry."""
+    parent, change = entry["parent"], entry["change"]
+    gain = parent["median"] - change["median"]
+    if spec["better"] != "lower":
+        gain = -gain
+    return {"claim_met": entry["change_better_pairs"] >= WIN_PAIRS
+            and gain > parent["q3"] - parent["q1"],
+            "within_bound": -gain <= spec["bound"] * parent["median"]}
 
 
 def main(argv=None):
@@ -59,6 +82,8 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
+    specs = {m["name"]: m for m in json.loads(
+        (Path(args.change) / "BENCHMARK.json").read_text())["end_to_end"]}
 
     runs = {side: [] for side in sides}
     parts = {side: [] for side in sides}
@@ -71,7 +96,7 @@ def main(argv=None):
             runs[side].append(result)
             parts[side].append(detail["parts_p50_s"])
             print(f"pair {i} {side}: " + json.dumps(
-                {m: result["metrics"][m]["value"] for m in METRICS}),
+                {m: result["metrics"][m]["value"] for m in specs}),
                 file=sys.stderr, flush=True)
 
     entry = {"seed": args.seed, "pairs": PAIRS,
@@ -79,10 +104,13 @@ def main(argv=None):
              "failed_frac": {side: max(r["failed"] / r["attempted"]
                                        for r in runs[side])
                              for side in sides}}
-    for m in METRICS:
-        entry["end_to_end"][m] = paired(
-            {side: [r["metrics"][m]["value"] for r in runs[side]]
-             for side in sides})
+    for m, spec in specs.items():
+        pair = paired({side: [r["metrics"][m]["value"] for r in runs[side]]
+                       for side in sides}, lower=spec["better"] == "lower")
+        rules = verdict(pair, spec)
+        entry["end_to_end"][m] = {**pair, **rules}
+        print(f"{args.workload} {m}: {json.dumps(rules)}", file=sys.stderr,
+              flush=True)
     # a part no request of some run finished has no median there
     names = set.intersection(*(set(p) for side in sides for p in parts[side]))
     entry["parts"] = {
