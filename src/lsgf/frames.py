@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebadd, chebmul
+from numpy.polynomial.chebyshev import chebadd, chebder, chebmul, chebroots
 
 from . import _kernels
 from .chebyshev import (ChebyshevApprox, apply_poly_bank,
@@ -342,7 +342,12 @@ def frame_bounds(d, basis="exact_sigma", eig=None, n_grid=2000):
     approximants, so the bounds reflect what the fast transform actually
     applies; exact mode sums the bank's squared kernels.
     basis='exact_sigma' evaluates at the true eigenvalues (needs a
-    decomposition); 'grid' uses a uniform grid on [0, lambda_bar].
+    decomposition); 'grid' uses a uniform grid on [0, lambda_bar].  In
+    polynomial mode the grid also takes both ends and every real part in
+    [-1, 1] of a root of q' (the companion matrix of chebder(q), of size
+    2K - 1, not the Laplacian), so that the extremes of q on the interval
+    are among the points: the bounds are then certified, where a grid alone
+    can only under-report B and over-report A.
     """
     if basis == "exact_sigma":
         ev = eig if eig is not None else d.eig
@@ -353,8 +358,15 @@ def frame_bounds(d, basis="exact_sigma", eig=None, n_grid=2000):
         pts = np.linspace(0.0, d.bank.lambda_bar, n_grid)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    g = d.bank.squared_sum(pts) if d.mode == "exact" \
-        else d.frame_symbol()(pts)
+    if d.mode == "exact":
+        g = d.bank.squared_sum(pts)
+    else:
+        q = d.frame_symbol()
+        if basis == "grid":
+            s = chebroots(chebder(q.coeffs)).real
+            s = np.concatenate([[-1.0, 1.0], s[np.abs(s) <= 1.0]])
+            pts = np.concatenate([pts, (s + 1.0) * (q.lambda_bar / 2.0)])
+        g = q(pts)
     return FrameBounds(lower=float(g.min()), upper=float(g.max()),
                        basis=basis)
 

@@ -21,6 +21,7 @@ from .spectrum import SpectralCDF
 COEFF_MAGIC = b"LSGC"
 COEFF_VERSION = 1
 _INT64 = np.iinfo(np.int64)
+_ID_LIMIT = 2 ** 31 - 1  # graph CSV ids lie below this
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,20 @@ def _read_csv(path, fields, types, invalid):
             for k in range(len(names))]
 
 
+def _data_line(path, k):
+    """Line number of a CSV file's data row k (from 0), by _read_csv's rule:
+    blank lines and a first line with no number in it hold no data."""
+    with open(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            parts = line.strip().split(",")
+            if not line.strip() or (ln == 1 and not any(
+                    _is_number(p) for p in parts)):
+                continue
+            if k == 0:
+                return ln
+            k -= 1
+
+
 def _csv_values(path, fields, types, invalid):
     """Values of a CSV file's data rows, converted row by row, in one list.
 
@@ -121,11 +136,20 @@ def _csv_values(path, fields, types, invalid):
 
 
 def load_graph_csv(path):
+    """Graph of an edge-list CSV; the largest id gives the vertex count.
+
+    An id of _ID_LIMIT or more fails with its line's number before
+    anything id-sized is allocated.
+    """
     src, dst, w = _read_csv(path, "src,dst,weight", (int, int, float),
                             "expected integer src and dst ids and a weight")
     if not src.size:
         raise ValueError("edge list is empty")
     n = int(max(src.max(), dst.max())) + 1
+    if n > _ID_LIMIT:
+        k = int(np.argmax((src >= _ID_LIMIT) | (dst >= _ID_LIMIT)))
+        raise ValueError(f"line {_data_line(path, k)}: vertex id "
+                         f"{max(src[k], dst[k])} is not below {_ID_LIMIT}")
     return SparseGraph.from_edges(n, src, dst, w)
 
 
@@ -198,6 +222,8 @@ def load_centers_csv(path, n_bands=None):
     outside = np.flatnonzero((bands < 0) | (bands >= nb))
     if outside.size:
         raise ValueError(f"band {bands[outside[0]]} out of range")
+    if not np.all(np.isfinite(wts) & (wts >= 0)):
+        raise ValueError("center weights must be finite and nonnegative")
     packed_sets, packed_w = [], []
     for j in range(nb):
         mine = bands == j
@@ -248,12 +274,19 @@ def load_coefficients(path, n):
             band_id, count = struct.unpack("<II", read(8))
             if band_id != j:
                 raise ValueError(f"band {j}: unexpected id {band_id}")
+            if count > n:  # before reading: ids are distinct and below n
+                raise ValueError(f"band {j}: {count} centers on {n} "
+                                 f"vertices")
             verts = np.frombuffer(read(4 * count), dtype="<u4")
             vals = np.frombuffer(read(8 * count), dtype="<f8")
             if count and verts.max() >= n:
                 raise ValueError(f"band {j}: vertex id out of range")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"band {j}: non-finite coefficient")
             centers.append(verts.astype(np.int64))
             bands.append(vals.astype(np.float64))
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last band")
     return Coefficients(bands=bands, centers=centers, n=n, provenance=None)
 
 

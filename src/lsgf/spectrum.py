@@ -45,6 +45,12 @@ class SpectralCDF:
             raise ValueError("values must match grid")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("values must be nondecreasing")
+        if not (np.all(np.isfinite(self.grid)) and self.grid[0] >= 0.0):
+            raise ValueError("grid must be finite and start at or above 0")
+        if not (np.all(np.isfinite(self.values)) and self.values[0] >= 0.0
+                and self.values[-1] == 1.0):
+            raise ValueError("values must be finite, lie in [0, 1] and end "
+                             "at 1")
 
     def _interpolant(self):
         # built on first evaluation: scipy.interpolate loads slowly, and

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import string
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from lsgf.cli import main
 from lsgf.filters import make_sgwt
 from lsgf.frames import (dictionary_exact, dictionary_poly, frame_bounds,
                          inverse_frame_iteration, inverse_single_pass)
-from lsgf.generators import grid_graph
+from lsgf.generators import grid_graph, path_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 from lsgf.io import (_is_number, load_cdf_csv, load_centers_csv,
                      load_coefficients, load_graph, load_signal_csv,
@@ -520,28 +522,293 @@ def test_malformed_edge_rows_exit_2(tmp_path_factory, row, at):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["1,1000000000000,1.0",
+                                 "1,9223372036854775807,1.0",
+                                 "2147483647,1,1.0"])
+def test_huge_vertex_ids_exit_2_before_allocating(tmp_path, capsys, row):
+    # the vertex count comes from the largest id: an id-sized array would
+    # take 7.3 TiB for the first row, and n = id + 1 overflows int64 for
+    # the second
+    g = tmp_path / "g.csv"
+    out = tmp_path / "cdf.csv"
+    g.write_text("src,dst,weight\n0,1,1.0\n\n" + row + "\n")
+    tracemalloc.start()
+    try:
+        rc = main(["spectrum-cdf", "--graph", str(g), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 4: vertex id ")
+    assert peak < 2 ** 20
+    assert not out.exists()
+
+
+def test_memory_error_exits_2(workspace, monkeypatch, capsys):
+    tmp, g, f = workspace
+
+    def exhausted(path):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(lsgf.io, "load_graph", exhausted)
+    out = tmp / "cdf.csv"
+    assert main(["spectrum-cdf", "--graph", str(g), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.28 TiB\n")
+    assert not out.exists()
+
+
+# Malformed signal, CDF, centers and coefficient files, each read by one
+# command on a 4-vertex path with a 2-band bank.  Every drawn file is one
+# the command must refuse.
+
+_BANK = ["--design", "itersine", "--n-bands", "2"]
+_SIGNAL = ["1.0", "-2.0", "0.5", "3.0"]
+_CDF = ["0.0,0.0", "1.5,0.25", "3.0,0.75", "4.0,1.0"]
+_CENTERS = ["0,0,0.5", "0,3,0.5", "1,1,1.0", "1,2,0.25"]
+_NOT_FINITE = ["nan", "inf", "-inf", "1e400", "-1e400"]
+
+
+@pytest.fixture(scope="module")
+def path4(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("path4")
+    g, f = tmp / "g.csv", tmp / "f.csv"
+    save_graph_csv(g, path_graph(4))
+    f.write_text("value\n" + "\n".join(_SIGNAL) + "\n")
+    return g, f
+
+
+def _refused(argv, out):
+    """main(argv) exits 2 with an error line and writes nothing to out."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 2, err.getvalue()
+    assert err.getvalue().startswith("error:")
+    assert not out.exists()
+
+
+def _junk(draw):
+    return draw(st.text(_JUNK, min_size=1, max_size=8).filter(
+        lambda s: not _is_number(s)))
+
+
+@st.composite
+def _malformed_signals(draw):
+    rows = list(_SIGNAL)
+    kind = draw(st.sampled_from(["length", "junk", "not finite", "fields"]))
+    if kind == "length":
+        rows = draw(st.lists(st.sampled_from(_SIGNAL), max_size=8).filter(
+            lambda r: len(r) != 4))
+    else:
+        at = draw(st.integers(0, 3))
+        rows[at] = {"junk": lambda: _junk(draw),
+                    "not finite": lambda: draw(st.sampled_from(_NOT_FINITE)),
+                    "fields": lambda: rows[at] + ",1.0"}[kind]()
+    header = draw(st.sampled_from(["", "value\n"]))
+    return header + "".join(r + "\n" for r in rows)
+
+
+@st.composite
+def _malformed_cdfs(draw):
+    rows = [r.split(",") for r in _CDF]
+    kind = draw(st.sampled_from(["short", "grid order", "decreasing",
+                                 "range", "top", "not finite", "junk",
+                                 "fields"]))
+    at = draw(st.integers(0, 3))
+    if kind == "short":
+        rows = rows[at:at + draw(st.integers(0, 1))]
+    elif kind == "grid order":
+        rows[at][0] = rows[max(at - 1, 0) if at else 1][0]
+    elif kind == "decreasing":
+        rows[1][1], rows[2][1] = rows[2][1], rows[1][1]
+    elif kind == "range":
+        rows[0][draw(st.integers(0, 1))] = draw(st.sampled_from(
+            ["-0.5", "-1e-9"]))
+    elif kind == "top":
+        rows[3][1] = draw(st.sampled_from(["0.9", "1.5", "0.99999999"]))
+    elif kind == "not finite":
+        rows[at][draw(st.integers(0, 1))] = draw(st.sampled_from(_NOT_FINITE))
+    elif kind == "junk":
+        rows[at][draw(st.integers(0, 1))] = _junk(draw)
+    else:
+        rows[at] = rows[at] + ["1.0"]
+    header = draw(st.sampled_from(["", "z,value\n"]))
+    return header + "".join(",".join(r) + "\n" for r in rows)
+
+
+@st.composite
+def _malformed_centers(draw):
+    rows = [r.split(",") for r in _CENTERS]
+    kind = draw(st.sampled_from(["band", "vertex", "duplicate", "weight",
+                                 "float id", "junk", "fields", "empty"]))
+    at = draw(st.integers(0, 3))
+    if kind == "band":
+        rows[at][0] = str(draw(st.one_of(st.integers(max_value=-1),
+                                         st.integers(min_value=2))))
+    elif kind == "vertex":
+        rows[at][1] = str(draw(st.one_of(st.integers(max_value=-1),
+                                         st.integers(min_value=4))))
+    elif kind == "duplicate":
+        rows.append(rows[at][:2] + ["1.0"])
+    elif kind == "weight":
+        rows[at][2] = draw(st.sampled_from(_NOT_FINITE + ["-1.0", "-1e-300"]))
+    elif kind == "float id":
+        rows[at][draw(st.integers(0, 1))] = draw(st.sampled_from(
+            ["1.5", "0.0", "1e3", "nan"]))
+    elif kind == "junk":
+        rows[at][draw(st.integers(0, 2))] = _junk(draw)
+    elif kind == "fields":
+        rows[at] = (rows[at] + ["1.0"])[:draw(st.sampled_from([1, 2, 4]))]
+    else:
+        rows = []
+    header = draw(st.sampled_from(["", "band,vertex,weight\n"]))
+    return header + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _coefficient_file(bands, magic=b"LSGC", version=1, n_bands=None,
+                      ids=None):
+    """Coefficient file bytes from (vertex ids, values) per band."""
+    out = magic + struct.pack("<II", version, len(bands) if n_bands is None
+                              else n_bands)
+    for j, (verts, vals) in enumerate(bands):
+        out += struct.pack("<II", j if ids is None else ids[j], len(verts))
+        out += np.asarray(verts, "<u4").tobytes()
+        out += np.asarray(vals, "<f8").tobytes()
+    return out
+
+
+@st.composite
+def _malformed_coefficients(draw):
+    bands = [([0, 1, 2, 3], [0.5, -1.0, 2.0, 0.25]), ([0, 2], [1.0, 3.0])]
+    kind = draw(st.sampled_from(["magic", "version", "band count", "band id",
+                                 "vertex", "duplicate", "not finite",
+                                 "count", "truncated", "trailing"]))
+    j = draw(st.integers(0, 1))
+    if kind == "magic":
+        return _coefficient_file(bands, magic=draw(st.binary(
+            min_size=4, max_size=4).filter(lambda m: m != b"LSGC")))
+    if kind == "version":
+        return _coefficient_file(bands, version=draw(
+            st.integers(0, 2 ** 32 - 1).filter(lambda v: v != 1)))
+    if kind == "band count":
+        n = draw(st.sampled_from([0, 1, 3]))
+        return _coefficient_file((bands + bands)[:n])
+    if kind == "band id":
+        ids = [0, 1]
+        ids[j] = draw(st.integers(0, 2 ** 32 - 1).filter(lambda i: i != j))
+        return _coefficient_file(bands, ids=ids)
+    if kind == "vertex":
+        bands[j][0][0] = draw(st.integers(4, 2 ** 32 - 1))
+    elif kind == "duplicate":
+        bands[j][0][1] = bands[j][0][0]
+    elif kind == "not finite":
+        bands[j][1][draw(st.integers(0, 1))] = draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf]))
+    elif kind == "count":
+        whole = _coefficient_file(bands)
+        return whole[:12] + struct.pack("<II", 0, draw(
+            st.integers(5, 2 ** 32 - 1))) + whole[20:]
+    whole = _coefficient_file(bands)
+    if kind == "truncated":
+        return whole[:draw(st.integers(0, len(whole) - 1))]
+    if kind == "trailing":
+        return whole + draw(st.binary(min_size=1, max_size=16))
+    return whole
+
+
+def test_well_formed_files_are_read(path4, tmp_path):
+    # the unmalformed versions of the files fuzzed below go through
+    g, f = path4
+    (tmp_path / "s.csv").write_text("\n".join(_SIGNAL) + "\n")
+    (tmp_path / "cdf.csv").write_text("\n".join(_CDF) + "\n")
+    (tmp_path / "cen.csv").write_text("\n".join(_CENTERS) + "\n")
+    (tmp_path / "c.lsgc").write_bytes(_coefficient_file(
+        [([0, 1, 2, 3], [0.5, -1.0, 2.0, 0.25]), ([0, 2], [1.0, 3.0])]))
+    t = str(tmp_path)
+    assert main(["transform", "--graph", str(g), "--signal", f"{t}/s.csv",
+                 "--centers", f"{t}/cen.csv", "--out", f"{t}/c2.lsgc",
+                 *_BANK]) == 0
+    assert main(["design", "--graph", str(g), "--warp", "spectrum_cdf",
+                 "--cdf-file", f"{t}/cdf.csv", "--out", f"{t}/b.csv",
+                 *_BANK]) == 0
+    assert main(["inverse", "--graph", str(g), "--coefficients",
+                 f"{t}/c.lsgc", "--out", f"{t}/r.csv", *_BANK]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_malformed_signals())
+def test_malformed_signal_files_exit_2(path4, tmp_path_factory, text):
+    g, _ = path4
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "s.csv").write_text(text)
+    _refused(["transform", "--graph", str(g), "--signal", str(tmp / "s.csv"),
+              "--out", str(tmp / "c.lsgc"), *_BANK], tmp / "c.lsgc")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_malformed_cdfs())
+def test_malformed_cdf_files_exit_2(path4, tmp_path_factory, text):
+    g, _ = path4
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "cdf.csv").write_text(text)
+    _refused(["design", "--graph", str(g), "--warp", "spectrum_cdf",
+              "--cdf-file", str(tmp / "cdf.csv"), "--out",
+              str(tmp / "b.csv"), *_BANK], tmp / "b.csv")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_malformed_centers())
+def test_malformed_center_files_exit_2(path4, tmp_path_factory, text):
+    g, f = path4
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "cen.csv").write_text(text)
+    _refused(["transform", "--graph", str(g), "--signal", str(f),
+              "--centers", str(tmp / "cen.csv"), "--out",
+              str(tmp / "c.lsgc"), *_BANK], tmp / "c.lsgc")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_malformed_coefficients())
+def test_malformed_coefficient_files_exit_2(path4, tmp_path_factory, data):
+    g, _ = path4
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "c.lsgc").write_bytes(data)
+    _refused(["inverse", "--graph", str(g), "--coefficients",
+              str(tmp / "c.lsgc"), "--out", str(tmp / "r.csv"), *_BANK],
+             tmp / "r.csv")
+
+
 def test_cli_import_leaves_interpolation_unloaded(tmp_path):
-    # most commands build no CDF, run no probe block, draw no sensor graph
-    # and read no Matrix Market file, so the CLI must not pay for loading
-    # scipy.interpolate, the kernels' thread pool, scipy.spatial or scipy.io
-    # at start-up (scipy.sparse itself loads the concurrent.futures package);
-    # spectrum-cdf writes its CDF's grid and values and never evaluates it
+    # most commands build no CDF, run no probe block and read no Matrix
+    # Market file, so the CLI must not pay for loading scipy.interpolate,
+    # the kernels' thread pool or scipy.io at start-up (scipy.sparse itself
+    # loads the concurrent.futures package); spectrum-cdf writes its CDF's
+    # grid and values and never evaluates it; sensor graphs search a cell
+    # grid in numpy, so no command loads scipy.spatial or, through it,
+    # scipy.linalg
     g = tmp_path / "g.csv"
     save_graph_csv(g, grid_graph(4, 5))
     src = str(Path(lsgf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     unloaded = ("[m for m in ('scipy.interpolate', 'concurrent.futures."
-                "thread', 'scipy.spatial', 'scipy.io') if m in sys.modules]")
+                "thread', 'scipy.spatial', 'scipy.linalg', 'scipy.io') "
+                "if m in sys.modules]")
     cdf = ("main(['spectrum-cdf', '--graph', sys.argv[1], '--out', "
            "sys.argv[2]]); ")
-    for run in ("", cdf):
+    sensor = ("main(['generate', '--kind', 'sensor', '--n', '300', "
+              "'--out', sys.argv[3]]); ")
+    for run in ("", cdf, sensor):
         code = f"import sys; from lsgf.cli import main; {run}print({unloaded})"
         out = subprocess.run(
-            [sys.executable, "-c", code, str(g), str(tmp_path / "cdf.csv")],
+            [sys.executable, "-c", code, str(g), str(tmp_path / "cdf.csv"),
+             str(tmp_path / "sensor.csv")],
             env=env, check=True, capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "[]"
     assert load_cdf_csv(tmp_path / "cdf.csv").values[-1] == 1.0
+    assert load_graph(tmp_path / "sensor.csv").n == 300
 
 
 def test_request_stages_leave_linalg_and_csgraph_unloaded(tmp_path):

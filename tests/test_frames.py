@@ -69,6 +69,27 @@ def test_frame_bounds_match_direct_extremes(setup):
         frame_bounds(d, basis="nope")
 
 
+@pytest.mark.parametrize("design", ["sgwt", "itersine"])
+def test_poly_grid_frame_bounds_are_certified(design):
+    # on this graph a 2000-point grid alone gives B = 2.39092 for the SGWT
+    # (true B = 2.39157) and A = 0.9781362 for itersine (true 0.9781356);
+    # the roots of q' put the extremes of q among the points
+    lap = build_laplacian(sensor_graph(2000, seed=0), kind="combinatorial")
+    bank = make_sgwt(lap.lambda_max_bound, 6) if design == "sgwt" else \
+        make_uniform_translates(lap.lambda_max_bound, 6, "itersine")
+    d = dictionary_poly(lap, bank, 20)
+    b = frame_bounds(d, basis="grid")
+    q = d.frame_symbol()
+    dense = q(np.linspace(0.0, q.lambda_bar, 2_000_001))
+    coarse = q(np.linspace(0.0, q.lambda_bar, 2000))
+    tol = 1e-14 * np.abs(q.coeffs).sum()
+    assert dense.min() - 1e-9 <= b.lower <= dense.min() + tol
+    assert dense.max() - tol <= b.upper <= dense.max() + 1e-9
+    short = dense.max() - coarse.max() if design == "sgwt" \
+        else coarse.min() - dense.min()
+    assert short > 5e-7
+
+
 def test_single_pass_error_within_bound(setup):
     g, lap, eig, f = setup
     bank = make_sgwt(lap.lambda_max_bound, 5)

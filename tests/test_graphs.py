@@ -152,6 +152,112 @@ def test_sensor_graphs_match_recorded_csr():
         "694a5f58b9204f20ae53b7ae6cc3cf267d324b4fc2b400fd4f7fe6167e188594")
     assert _csr_sha256(sensor_graph(300, k=1, seed=0)) == (
         "5e7f9ccfc517585e1a0bed0e7c7b535e210e133688d72ca4050d14d78d2d403c")
+    # recorded from the k-d tree search that the cell grid replaced
+    for n, k, seed, digest in [
+            (20000, 6, 0, "10c2ab3d0385e73330ed30b73a41f60b"
+                          "9f45b2d99952a3984883b7076a800cef"),
+            (5000, 1, 0, "6765fc768eb37f69838c4e38454b0544"
+                         "ba10e82e66f9d25cd863a9beae594f94"),
+            (2000, 2, 5, "cc7aad60e65fae3ec0631d657b1c275b"
+                         "548f3898647d811f9787f9c95637875c"),
+            (20000, 3, 2, "8d3bddee31d5fdeb99182b8a2c3a5bf2"
+                          "62592e82dda242986b95a15f1a851d8b")]:
+        assert _csr_sha256(sensor_graph(n, k=k, seed=seed)) == digest, (
+            n, k, seed)
+
+
+def _sensor_reference(n, k, seed):
+    """sensor_graph from all-pairs squared distances dx*dx + dy*dy: each
+    point's k nearest others, then the closest pair across components
+    joined first, the smallest (distance, i, j) on a tie."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    d2 = dx * dx + dy * dy
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k + 1]
+    assert np.array_equal(order[:, 0], np.arange(n))  # no duplicate points
+    dists = np.sqrt(np.take_along_axis(d2, order, axis=1))[:, 1:]
+    theta = float(dists.mean())
+    edges = {}
+    for i in range(n):
+        for j, d in zip(order[i, 1:], dists[i]):
+            edges.setdefault((min(i, j), max(i, j)), d)
+    label = list(range(n))
+
+    def find(v):
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for i, j in edges:
+        label[find(i)] = find(j)
+    while True:
+        roots = np.array([find(v) for v in range(n)])
+        if np.unique(roots).size == 1:
+            break
+        cross = np.where(roots[:, None] != roots[None, :], d2, np.inf)
+        i, j = divmod(int(np.argmin(cross)), n)  # first (i, j) on a tie
+        edges[(i, j)] = np.sqrt(d2[i, j])
+        label[find(i)] = find(j)
+    (src, dst), dd = np.array(list(edges)).T, np.array(list(edges.values()))
+    return SparseGraph.from_edges(n, src, dst,
+                                  np.exp(-dd ** 2 / (2 * theta ** 2)),
+                                  coords=pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), k=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2, k=1, seed=0)
+@example(n=300, k=1, seed=0)
+@example(n=9, k=8, seed=3)
+def test_sensor_graph_matches_brute_force_reference(n, k, seed):
+    k = min(k, n - 1)
+    got = sensor_graph(n, k=k, seed=seed)
+    want = _sensor_reference(n, k, seed)
+    for a, b in zip(_csr(got), _csr(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got.coords, want.coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 200), m=st.integers(1, 9), clumps=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2, m=2, clumps=2, seed=0)
+def test_cell_grid_searches_are_exact_on_clumped_points(n, m, clumps, seed):
+    # points in a few tight clumps leave most cells empty, so the searches
+    # must widen their windows, up to the whole square, to stay exact
+    rng = np.random.default_rng(seed)
+    centres = 0.03 + 0.94 * rng.random((clumps, 2))
+    clump = rng.integers(clumps, size=n)
+    pts = centres[clump] + rng.uniform(-0.03, 0.03, (n, 2))
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    d2 = dx * dx + dy * dy
+    grid = generators._CellGrid(pts)
+    m = min(m, n)
+    dists, nbrs = grid.nearest(m)
+    want = np.argsort(d2, axis=1, kind="stable")[:, :m]
+    assert np.array_equal(nbrs, want)
+    assert np.array_equal(dists, np.sqrt(np.take_along_axis(d2, want, 1)))
+    # one component per clump, labelled by its smallest point
+    comp = np.full(clumps, n)
+    np.minimum.at(comp, clump, np.arange(n))
+    comp = comp[clump]
+    labels, sizes = np.unique(comp, return_counts=True)
+    if labels.size < 2:
+        return
+    skip = labels[np.argmax(sizes)]
+    i, j, got = grid.closest_outside(comp, skip)
+    assert np.array_equal(got, d2[i, j]) and np.all(comp[i] != comp[j])
+    for c in labels[labels != skip]:
+        cross = np.where((comp == c)[:, None] & (comp != c)[None, :], d2,
+                         np.inf)
+        best = cross.min()
+        mine = comp[i] == c
+        assert got[mine].min() == best
+        first = np.flatnonzero(cross.min(axis=1) == best)[0]
+        assert i[mine][got[mine] == best].min() == first
 
 
 def test_erdos_renyi_matches_one_draw_per_triangle_pair():

@@ -113,6 +113,13 @@ def test_cdf_validation():
         SpectralCDF(grid=[0.0, 1.0, 1.0], values=[0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="at least two"):
         SpectralCDF(grid=[0.0], values=[1.0])
+    for grid in ([-1.0, 1.0, 2.0], [0.0, 1.0, np.inf], [np.nan, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="finite and start"):
+            SpectralCDF(grid=grid, values=[0.0, 0.5, 1.0])
+    for values in ([-0.1, 0.5, 1.0], [0.0, 0.5, 0.9], [0.0, 0.5, 1.5],
+                   [0.0, 0.5, np.nan], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match=r"in \[0, 1\] and end at 1"):
+            SpectralCDF(grid=[0.0, 1.0, 2.0], values=values)
 
 
 def test_interpolated_cdf_behavior():

@@ -16,7 +16,10 @@ BENCHMARK.json:
   and its median beats the parent's by more than the parent's quartile
   spread (q3 - q1), as a claimed gain must;
 - ``within_bound``: the change's median is worse than the parent's by at
-  most the metric's relative bound, as every metric must be.
+  most the metric's relative bound, as every metric must be;
+- ``unresolved``: the parent's own quartile spread is wider than the bound
+  (times the parent's median) and not every change run beats every parent
+  run, so the runs cannot tell "unchanged" from "worse by the bound".
 
 The workload's entry is added to --out (a JSON object keyed by workload),
 creating the file if needed:
@@ -63,14 +66,19 @@ def paired(values, lower=True):
 
 
 def verdict(entry, spec):
-    """claim_met and within_bound of one metric's paired entry."""
+    """claim_met, within_bound and unresolved of one metric's paired
+    entry."""
     parent, change = entry["parent"], entry["change"]
-    gain = parent["median"] - change["median"]
-    if spec["better"] != "lower":
-        gain = -gain
+    sign = 1 if spec["better"] == "lower" else -1
+    gain = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    every_run_better = (max(sign * c for c in change["runs"])
+                        < min(sign * p for p in parent["runs"]))
     return {"claim_met": entry["change_better_pairs"] >= WIN_PAIRS
-            and gain > parent["q3"] - parent["q1"],
-            "within_bound": -gain <= spec["bound"] * parent["median"]}
+            and gain > spread,
+            "within_bound": -gain <= spec["bound"] * parent["median"],
+            "unresolved": spread > spec["bound"] * parent["median"]
+            and not every_run_better}
 
 
 def main(argv=None):
