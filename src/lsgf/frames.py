@@ -117,16 +117,13 @@ def _truncation_errors(q, r):
 class Dictionary:
     """Filter-bank dictionary over a Laplacian with per-band centers."""
 
-    def __init__(self, lap, bank, mode, centers=None, eig=None, approx=None):
-        if mode not in ("exact", "poly"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "exact" and eig is None:
-            raise ValueError("exact mode needs an eigendecomposition")
-        if mode == "poly" and approx is None:
-            raise ValueError("poly mode needs fitted approximants")
+    def __init__(self, lap, bank, centers=None, eig=None, approx=None):
+        if (eig is None) == (approx is None):
+            raise ValueError("a dictionary needs either an "
+                             "eigendecomposition or fitted approximants")
         self.lap = lap
         self.bank = bank
-        self.mode = mode
+        self.mode = "exact" if approx is None else "poly"
         if centers is None:
             # complete: one index array, valid by construction, for all
             # bands rather than a sorted copy per band
@@ -135,7 +132,7 @@ class Dictionary:
             self.centers = _check_centers(lap.n, bank.n_kernels, centers)
         self.eig = eig
         self.approx = approx
-        if mode == "exact":
+        if eig is not None:
             self._diag = np.vstack([np.atleast_1d(g(eig.values))
                                     for g in bank.kernels])
         self._dual_fit = None
@@ -304,13 +301,13 @@ class Dictionary:
 
 
 def dictionary_exact(lap, bank, eig, centers=None):
-    return Dictionary(lap, bank, "exact", centers=centers, eig=eig)
+    return Dictionary(lap, bank, centers=centers, eig=eig)
 
 
 def dictionary_poly(lap, bank, degree, jackson=False, centers=None):
     approx = [chebyshev_fit(g, degree, bank.lambda_bar, jackson=jackson)
               for g in bank.kernels]
-    return Dictionary(lap, bank, "poly", centers=centers, approx=approx)
+    return Dictionary(lap, bank, centers=centers, approx=approx)
 
 
 def analysis(d, f):

@@ -97,30 +97,22 @@ def sensor_graph(n, k=6, seed=0):
     theta = float(dists.mean())
 
     # a pair found from both ends reads one distance both ways, since
-    # dx*dx + dy*dy is symmetric bit for bit: either copy may stay
+    # dx*dx + dy*dy is symmetric bit for bit: from_edges keeps one copy
     own = np.repeat(np.arange(n), k)
     nbrs = nbrs.ravel()
-    lo, hi = np.minimum(own, nbrs), np.maximum(own, nbrs)
-    key = lo * n + hi
-    first = np.argsort(key)
-    first = first[np.r_[True, np.diff(key[first]) != 0]]
-    lo, hi, dd = lo[first], hi[first], dists.ravel()[first]
-    edges = [(lo, hi, dd)]
+    edges = [(own, nbrs, dists.ravel())]
 
     # Boruvka rounds: every component but the largest takes its closest
     # outside pair, the first in index order on a tie.  Each such pair is
     # an edge of the minimum spanning forest of the components, so the
-    # edges are those of joining the globally closest pair first.
-    comp = component_roots(n, lo, hi)
+    # edges are those of joining the globally closest pair first.  Two
+    # components may pick one pair from both ends: from_edges keeps one.
+    comp = component_roots(n, own, nbrs)
     while comp.any():
         i, j, d2 = grid.closest_outside(comp, np.argmax(np.bincount(comp)))
         c = comp[i]
         o = np.lexsort((i, d2, c))
         o = o[np.r_[True, c[o[1:]] != c[o[:-1]]]]
-        i, j, d2 = i[o], j[o], d2[o]
-        # two components may pick one pair from both ends
-        _, o = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
-                         return_index=True)
         i, j, d2 = i[o], j[o], d2[o]
         edges.append((i, j, np.sqrt(d2)))
         comp = component_roots(n, comp[i], comp[j])[comp]

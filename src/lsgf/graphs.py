@@ -1,9 +1,11 @@
 """Weighted undirected graphs, their Laplacians, and small-graph spectral tools.
 
 Graphs are stored in CSR form with both triangle halves present so that row
-slices enumerate full neighborhoods.  Laplacians carry a certified upper
-bound on their largest eigenvalue; every spectral interval in the package is
-[0, lambda_max_bound] of the Laplacian at hand.
+slices enumerate full neighborhoods.  SparseGraph.from_edges is the one
+normalizer of edge lists, the only code that orders pairs and merges
+duplicates; SparseGraph.edges is the one view of the upper half.  Laplacians
+carry a certified upper bound on their largest eigenvalue; every spectral
+interval in the package is [0, lambda_max_bound] of the Laplacian at hand.
 
 Importing this module loads only numpy and scipy.sparse: connectivity is a
 vectorized union-find over the edge arrays, and the few tools that need
@@ -77,17 +79,7 @@ class SparseGraph:
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("edge weights must be positive and finite")
 
-        # sort pairs in (min, max) order; the stable sort keeps input order
-        # within a pair, so the conflict reported is the earliest one
-        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        first = np.diff(lo * n + hi, prepend=-1) != 0
-        clash = np.flatnonzero(~first & (np.diff(w, prepend=w[:1]) != 0))
-        if clash.size:
-            k = clash[np.argmin(order[clash])]
-            raise ValueError(f"conflicting duplicate edge ({lo[k]}, {hi[k]})")
-        lo, hi, w = lo[first], hi[first], w[first]
+        lo, hi, w = _merge_pairs(n, src, dst, w)
         adj = scipy.sparse.coo_matrix(
             (np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n)).tocsr()
         adj.sort_indices()
@@ -106,14 +98,19 @@ class SparseGraph:
 
     def degrees(self):
         """Weighted degree of every vertex."""
-        out = np.zeros(self.n)
-        np.add.at(out, np.repeat(np.arange(self.n), np.diff(self.indptr)),
-                  self.weights)
-        return out
+        # float even without edges, where bincount answers in int
+        return np.bincount(_row_index(self.indptr), weights=self.weights,
+                           minlength=self.n).astype(np.float64, copy=False)
+
+    def edges(self):
+        """(src, dst, w): every edge once, with src < dst, in CSR order."""
+        rows = _row_index(self.indptr)
+        # positions, not a mask, so that the mask is scanned once
+        upper = np.flatnonzero(rows < self.indices)
+        return rows[upper], self.indices[upper], self.weights[upper]
 
     def to_scipy(self):
-        return scipy.sparse.csr_matrix(
-            (self.weights, self.indices, self.indptr), shape=(self.n, self.n))
+        return _kernels._operator(self.indptr, self.indices, self.weights)
 
     def hop_distances(self, source):
         """Unweighted hop count from source; -1 marks unreachable vertices."""
@@ -127,10 +124,29 @@ class SparseGraph:
 
         That is when every vertex's component root is vertex 0.
         """
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        upper = rows < self.indices
-        return not np.any(component_roots(self.n, rows[upper],
-                                          self.indices[upper]))
+        return not np.any(component_roots(self.n, *self.edges()[:2]))
+
+
+def _merge_pairs(n, src, dst, w):
+    """(lo, hi, w) with each pair once, lo < hi, sorted by the int64 key
+    lo * n + hi < n^2.  The sort is stable, so the conflict named is the
+    earliest; its temporaries end here, before the CSR build allocates."""
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key, w = key[order], w[order]
+    first = np.diff(key, prepend=-1) != 0
+    clash = np.flatnonzero(~first & (np.diff(w, prepend=w[:1]) != 0))
+    if clash.size:
+        k = order[clash].min()
+        raise ValueError(f"conflicting duplicate edge ({lo[k]}, {hi[k]})")
+    return lo[order[first]], hi[order[first]], w[first]
+
+
+def _row_index(indptr):
+    """The row of every entry of a CSR matrix, in its index dtype."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=indptr.dtype),
+                     np.diff(indptr))
 
 
 def component_roots(n, src, dst):
@@ -215,8 +231,7 @@ class Laplacian:
             # M = scale (L - lambda_bar / 2 I): the shift is 2 up to the
             # rounding of scale
             shift = scale * (lambda_bar / 2.0)
-            rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
-                             np.diff(self.indptr))
+            rows = _row_index(self.indptr)
             diag = np.flatnonzero(self.indices == rows)
             if np.array_equal(rows[diag], np.arange(self.n)):
                 data = np.multiply(self.data, scale)
@@ -230,8 +245,7 @@ class Laplacian:
         return op
 
     def to_scipy(self):
-        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                       shape=(self.n, self.n))
+        return _kernels._operator(self.indptr, self.indices, self.data)
 
     def toarray(self):
         return self.to_scipy().toarray()
@@ -257,11 +271,8 @@ def build_laplacian(graph, kind="combinatorial"):
     deg = graph.degrees()
     if kind == "combinatorial":
         lap = scipy.sparse.diags(deg) - w
-        if graph.n_edges:
-            rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-            bound = float(np.max(deg[rows] + deg[graph.indices]))
-        else:
-            bound = 1.0
+        src, dst, _ = graph.edges()
+        bound = float(np.max(deg[src] + deg[dst])) if src.size else 1.0
     else:
         if np.any(deg == 0):
             raise ValueError("normalized laplacian requires nonzero degrees")

@@ -37,23 +37,20 @@ def save_graph_mm(path, graph):
 def load_graph_mm(path):
     import scipy.io
     mat = scipy.sparse.coo_matrix(scipy.io.mmread(str(path)))
-    upper = mat.row < mat.col
-    diag = mat.row == mat.col
-    if np.any(diag & (mat.data != 0)):
+    off = mat.row != mat.col
+    if np.any(~off & (mat.data != 0)):
         raise ValueError("matrix market graph carries nonzero diagonal "
                          "(self-loops)")
-    return SparseGraph.from_edges(mat.shape[0], mat.row[upper],
-                                  mat.col[upper], mat.data[upper])
+    # a symmetric file reads back with both halves: from_edges merges them
+    return SparseGraph.from_edges(mat.shape[0], mat.row[off], mat.col[off],
+                                  mat.data[off])
 
 
 def save_graph_csv(path, graph):
-    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-    upper = rows < graph.indices
     with open(path, "w") as fh:
         fh.write("src,dst,weight\n" + "".join(
             f"{i},{j},{w!r}\n" for i, j, w in zip(
-                rows[upper].tolist(), graph.indices[upper].tolist(),
-                graph.weights[upper].tolist())))
+                *(a.tolist() for a in graph.edges()))))
 
 
 def _read_csv(path, fields, types, invalid):

@@ -98,6 +98,8 @@ def draw_centers(weights, counts, seed=0):
     counts = np.asarray(counts, dtype=np.int64)
     if weights.ndim != 2 or counts.shape != (weights.shape[0],):
         raise ValueError("need one count per weight row")
+    if np.any(counts < 0):
+        raise ValueError(f"counts must be nonnegative, got {counts.tolist()}")
     rng = np.random.default_rng(seed)
     sets, wts = [], []
     for j in range(weights.shape[0]):

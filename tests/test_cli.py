@@ -369,6 +369,8 @@ def test_malformed_input_exits_2(workspace, capsys):
     cdf_bad.write_text("0.0x,0.0\n0.5,0.4\n1.0,1.0\n")
     signal_bad = tmp / "signal_bad.csv"
     signal_bad.write_text("0.5,1\n" + "1.0\n" * 50)
+    counts_neg = tmp / "counts_neg.conf"
+    counts_neg.write_text("counts = -1,2,2\n")
     bank = ["--design", "itersine", "--n-bands", "3"]
     bad = [
         ["transform", "--graph", str(g), "--signal", str(f), "--centers",
@@ -381,6 +383,10 @@ def test_malformed_input_exits_2(workspace, capsys):
          "--cdf-file", str(cdf_bad), "--out", str(tmp / "bank.csv"), *bank],
         ["transform", "--graph", str(g), "--signal", str(signal_bad),
          "--out", str(tmp / "c.lsgc"), *bank],
+        ["sample", "--graph", str(g), "--counts=-1,2,2", "--out",
+         str(tmp / "cen_neg.csv"), *bank],
+        ["--config", str(counts_neg), "sample", "--graph", str(g), "--out",
+         str(tmp / "cen_neg.csv"), *bank],
         ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "2"],
         ["generate", "--kind", "erdos-renyi", "--n", "20", "--p", "-1"],
         ["generate", "--kind", "erdos-renyi", "--n", "0"],
@@ -416,6 +422,7 @@ def test_malformed_input_exits_2(workspace, capsys):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp / "bad.csv").exists()
+    assert not (tmp / "cen_neg.csv").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -13,8 +13,9 @@ from lsgf.chebyshev import poly_atom
 from lsgf.filters import (Kernel, FilterBank, make_ideal_partition,
                           make_log_warped_translates, make_sgwt,
                           make_uniform_translates)
-from lsgf.frames import (Coefficients, analysis, atom_norm_estimate,
-                         atom_norms_exact, cumulative_coherence,
+from lsgf.frames import (Coefficients, Dictionary, analysis,
+                         atom_norm_estimate, atom_norms_exact,
+                         cumulative_coherence,
                          dictionary_exact, dictionary_poly, frame_bounds,
                          inverse_cg, inverse_frame_iteration,
                          inverse_single_pass, single_pass_error_bound,
@@ -301,6 +302,17 @@ def test_token_sensitivity(setup):
         dictionary_poly(lap, bank, 20).token
     sub = [np.arange(10)] * 4
     assert dictionary_exact(lap, bank, eig, centers=sub).token != d1.token
+
+
+def test_dictionary_mode_follows_its_representation(setup):
+    g, lap, eig, f = setup
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    assert dictionary_exact(lap, bank, eig).mode == "exact"
+    poly = dictionary_poly(lap, bank, 20)
+    assert poly.mode == "poly"
+    for kw in ({}, {"eig": eig, "approx": poly.approx}):
+        with pytest.raises(ValueError, match="either an eigendecomposition"):
+            Dictionary(lap, bank, **kw)
 
 
 def _tobytes_digest(d):

@@ -136,6 +136,53 @@ def test_from_edges_ignores_edge_order_and_orientation():
     h = SparseGraph.from_edges(g.n, src2[perm], dst2[perm], w2[perm])
     for a, b in zip(_csr(g), _csr(h)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    # every pair from both ends, as sensor_graph passes its k-NN pairs
+    both = SparseGraph.from_edges(g.n, np.r_[src, dst], np.r_[dst, src],
+                                  np.r_[w, w])
+    for a, b in zip(_csr(g), _csr(both)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sensor_graph(300, k=1, seed=0), lambda: grid_graph(7, 9),
+    lambda: clique_chain_graph([4, 6, 3]), lambda: path_graph(1)])
+def test_edges_rebuild_the_graph(make):
+    g = make()
+    src, dst, w = g.edges()
+    assert src.size == g.n_edges and np.all(src < dst)
+    # CSR order: by source, then by destination
+    assert np.all(np.diff(src * g.n + dst) > 0)
+    h = SparseGraph.from_edges(g.n, src, dst, w)
+    for a, b in zip(_csr(g), _csr(h)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _lap_sha256(lap):
+    h = hashlib.sha256()
+    for a, dtype in zip((lap.indptr, lap.indices, lap.data,
+                         np.float64(lap.lambda_max_bound)),
+                        ("<i8", "<i8", "<f8", "<f8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_laplacians_match_recorded_arrays():
+    # digests of the Laplacian arrays and bound, recorded before degrees
+    # and the edge-degree bound read the graph through edges()
+    for g, kind, digest in [
+            (sensor_graph(2000, seed=0), "combinatorial",
+             "d6019ff79e8b55e40e29eb7f19bfb23b"
+             "9317fdfd72cfa2510ca0bfa7482b4242"),
+            (sensor_graph(2000, seed=0), "normalized",
+             "9407f6618c37de3cd708b15a9be96ea2"
+             "f16c7be992a95fdcfdea19c1dd667d80"),
+            (grid_graph(30, 40), "combinatorial",
+             "d85a217295db209420b714d862b991bd"
+             "3b9054dde838ef0c806fc349978bf6b3"),
+            (grid_graph(30, 40), "normalized",
+             "65ad1fd6b53899c66c64d787306d5234"
+             "d4657f4bb823fe9e95322a75e4c2fc9c")]:
+        assert _lap_sha256(build_laplacian(g, kind)) == digest, (g.n, kind)
 
 
 def _csr_sha256(g):

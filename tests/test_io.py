@@ -49,6 +49,19 @@ def test_graph_mm_rejects_self_loops(tmp_path):
         load_graph_mm(p)
 
 
+def test_graph_mm_general_file_reads_either_half(tmp_path):
+    # a general file may list each edge from either end; weights that
+    # disagree between the two ends are refused
+    head = "%%MatrixMarket matrix coordinate real general\n3 3 "
+    p = tmp_path / "g.mtx"
+    p.write_text(head + "2\n2 1 1.5\n2 3 2.0\n")
+    g = load_graph_mm(p)
+    assert [a.tolist() for a in g.edges()] == [[0, 1], [1, 2], [1.5, 2.0]]
+    p.write_text(head + "2\n2 1 1.5\n1 2 2.0\n")
+    with pytest.raises(ValueError, match="conflicting duplicate"):
+        load_graph_mm(p)
+
+
 def test_graph_csv_roundtrip(tmp_path):
     g = sensor_graph(25, seed=2)
     p = tmp_path / "g.csv"

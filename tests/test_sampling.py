@@ -104,6 +104,9 @@ def test_draw_centers_support_guard():
     assert np.array_equal(got.sets[0], [0, 1])
     with pytest.raises(ValueError, match="positive weight"):
         draw_centers(w, np.array([3]), seed=0)
+    # a negative count is refused, not read as a slice from the end
+    with pytest.raises(ValueError, match="nonnegative"):
+        draw_centers(w, np.array([-1]), seed=0)
 
 
 def test_draw_centers_match_successive_sampling_probabilities():

@@ -1,6 +1,10 @@
 """Alternating parent/change runs of one perfbench workload, as JSON.
 
-Each side is a checkout holding perfbench/run.py and src/lsgf.  Pair i runs
+Each side is a git checkout holding perfbench/run.py and src/lsgf.  Its
+tracked files and its untracked files that git does not ignore are first
+copied into a fresh temporary directory, and the runs time that copy, so
+neither side starts with bytecode caches or other leftovers that a clean
+checkout would not have.  Pair i runs
 both sides once for SECONDS at --trace 0, the parent first in even pairs and
 the change first in odd ones, so drift of the host over a run does not
 favour a side.  There are PAIRS pairs, the fewest that can show a side
@@ -30,9 +34,11 @@ creating the file if needed:
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 PAIRS = 10
@@ -49,6 +55,21 @@ def run(checkout, workload, seed, trace):
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     detail, result = (json.loads(line) for line in out.splitlines()[-2:])
     return detail, result
+
+
+def fresh_copy(checkout, dest):
+    """Copy the checkout's tracked and not-ignored untracked files to
+    dest."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        cwd=checkout, check=True, capture_output=True).stdout
+    for name in names.decode().split("\0"):
+        src = Path(checkout, name)
+        # not the empty name after the last NUL, nor a deleted tracked file
+        if src.is_file():
+            Path(dest, name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, Path(dest, name))
 
 
 def summary(values):
@@ -89,17 +110,30 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    sides = {"parent": args.parent, "change": args.change}
     specs = {m["name"]: m for m in json.loads(
         (Path(args.change) / "BENCHMARK.json").read_text())["end_to_end"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {side: Path(tmp, side) for side in ("parent", "change")}
+        for side, path in sides.items():
+            fresh_copy(getattr(args, side), path)
+        entry = measure(sides, specs, args.workload, args.seed)
 
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc[args.workload] = entry
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+def measure(sides, specs, workload, seed):
+    """The paired entry of one workload, from the checkouts in sides."""
     runs = {side: [] for side in sides}
     parts = {side: [] for side in sides}
     env = None
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            detail, result = run(sides[side], args.workload, args.seed, 0)
+            detail, result = run(sides[side], workload, seed, 0)
             env = env or detail["env"]
             runs[side].append(result)
             parts[side].append(detail["parts_p50_s"])
@@ -107,7 +141,7 @@ def main(argv=None):
                 {m: result["metrics"][m]["value"] for m in specs}),
                 file=sys.stderr, flush=True)
 
-    entry = {"seed": args.seed, "pairs": PAIRS,
+    entry = {"seed": seed, "pairs": PAIRS,
              "seconds": SECONDS, "env": env, "end_to_end": {},
              "failed_frac": {side: max(r["failed"] / r["attempted"]
                                        for r in runs[side])
@@ -117,7 +151,7 @@ def main(argv=None):
                        for side in sides}, lower=spec["better"] == "lower")
         rules = verdict(pair, spec)
         entry["end_to_end"][m] = {**pair, **rules}
-        print(f"{args.workload} {m}: {json.dumps(rules)}", file=sys.stderr,
+        print(f"{workload} {m}: {json.dumps(rules)}", file=sys.stderr,
               flush=True)
     # a part no request of some run finished has no median there
     names = set.intersection(*(set(p) for side in sides for p in parts[side]))
@@ -127,15 +161,10 @@ def main(argv=None):
         for name in sorted(names)}
     entry["per_layer"] = {}
     for side in sides:
-        detail, result = run(sides[side], args.workload, args.seed, 1)
+        detail, result = run(sides[side], workload, seed, 1)
         entry["per_layer"][side] = {
             name: m["value"] for name, m in result["metrics"].items()}
-
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc[args.workload] = entry
-    out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return entry
 
 
 if __name__ == "__main__":
