@@ -278,8 +278,8 @@ def _solver_report(info):
 
 
 def cmd_denoise(args):
-    if args.sigma is None or args.sigma <= 0:
-        raise ValueError("--sigma must be a positive noise level")
+    if args.sigma is None or not 0 < args.sigma <= tasks.SIGMA_MAX:
+        raise ValueError(f"--sigma must lie in (0, {tasks.SIGMA_MAX:.4g}]")
     lap = _load_lap(args)
     clean = io.load_signal_csv(args.signal)
     if args.noisy:

@@ -7,6 +7,8 @@ filters the upsampled coefficient vectors and sums the bands.
 
 Exact mode diagonalizes the Laplacian (small graphs); polynomial mode
 replaces every kernel with a Chebyshev approximant and never factorizes.
+Either way, explicit atoms come from identity columns filtered through all
+bands at once, and stochastic estimates from one probe loop.
 With all vertices as centers and kernels whose squared sum G is pinched
 between A and B, the dictionary is a frame with those bounds, which drives
 the error guarantees of the approximate inverses here.
@@ -24,7 +26,7 @@ from .chebyshev import (ChebyshevApprox, apply_poly_bank,
                         chebyshev_fit)
 from .graphs import as_block
 
-# identity columns filtered per call when atoms are formed explicitly
+# identity columns times bands filtered per call when atoms are formed
 _BLOCK = 256
 
 
@@ -133,8 +135,7 @@ class Dictionary:
         self.eig = eig
         self.approx = approx
         if eig is not None:
-            self._diag = np.vstack([np.atleast_1d(g(eig.values))
-                                    for g in bank.kernels])
+            self._diag = bank.evaluate(eig.values)
         self._dual_fit = None
         self._duals = {}
         self.token = self._fingerprint()
@@ -244,20 +245,16 @@ class Dictionary:
         (J, N, B), and column b equals the call on f[:, b] alone: bit for bit
         in poly mode, up to rounding in exact mode.
         """
-        return self._filter(f, slice(None))
-
-    def _filter(self, f, bands):
-        """filter_all restricted to the bands selected by the slice bands."""
         f = as_block(self.lap.n, f)
         if self.mode == "exact":
             fhat = self.eig.fourier(f)
             if f.ndim == 2:
                 # one (N, N) @ (N, J B) product for the whole block
-                w = self._diag[bands].T[:, :, None] * fhat[:, None, :]
+                w = self._diag.T[:, :, None] * fhat[:, None, :]
                 y = self.eig.inverse_fourier(w.reshape(self.lap.n, -1))
                 return y.reshape(w.shape).transpose(1, 0, 2)
-            return self.eig.inverse_fourier((self._diag[bands] * fhat).T).T
-        return apply_poly_bank(self.approx[bands], self.lap, f)
+            return self.eig.inverse_fourier((self._diag * fhat).T).T
+        return apply_poly_bank(self.approx, self.lap, f)
 
     def adjoint(self, u):
         """sum_j g_j(L) u_j for a (J, N) block: the adjoint of filter_all."""
@@ -270,28 +267,35 @@ class Dictionary:
             return self.eig.inverse_fourier(np.sum(self._diag * uhat, axis=0))
         return apply_poly_bank_adjoint(self.approx, self.lap, u)
 
-    def _columns(self, j, cols):
-        """Columns cols of g_j(L), filtered as identity columns in blocks of
-        at most _BLOCK, so the working set stays O(N x _BLOCK)."""
-        for s in range(0, cols.size, _BLOCK):
-            ids = cols[s:s + _BLOCK]
-            eye = np.zeros((self.lap.n, ids.size))
-            eye[ids, np.arange(ids.size)] = 1.0
-            yield self._filter(eye, slice(j, j + 1))[0]
+    def _atom_blocks(self, centers):
+        """Identity columns at the sorted union of the center sets, filtered
+        by filter_all in blocks of w = max(1, _BLOCK // J): every column
+        passes once through the recurrence the bands share, and the working
+        set stays O(N x _BLOCK).  Yields each (J, N, w) block with, per
+        center set, its columns in the block and the slice they fill."""
+        union = np.unique(np.concatenate(centers))
+        pos = [np.searchsorted(union, c) for c in centers]
+        w = max(1, _BLOCK // self.n_bands)
+        for s in range(0, union.size, w):
+            eye = np.zeros((self.lap.n, min(w, union.size - s)))
+            eye[union[s:s + w], np.arange(eye.shape[1])] = 1.0
+            ends = [np.searchsorted(p, [s, s + w]) for p in pos]
+            yield self.filter_all(eye), [(p[lo:hi] - s, slice(lo, hi))
+                                         for p, (lo, hi) in zip(pos, ends)]
 
     def atom(self, j, i):
         """Atom of band j centered at vertex i (column of g_j(L))."""
-        return next(self._columns(j, np.array([i])))[:, 0]
-
-    def band_matrix(self, j):
-        """Dense g_j(L)."""
-        return np.hstack(list(self._columns(j, np.arange(self.lap.n))))
+        return next(self._atom_blocks([np.array([i])]))[0][j, :, 0]
 
     def materialize(self):
         """(N, M) atom matrix, bands in order, centers ascending per band."""
-        cols = [b for j, c in enumerate(self.centers)
-                for b in self._columns(j, c)]
-        return np.hstack(cols) if cols else np.zeros((self.lap.n, 0))
+        out = np.empty((self.lap.n, self.n_atoms))
+        bands = np.split(out, np.cumsum([c.size for c in self.centers])[:-1],
+                         axis=1)
+        for y, picks in self._atom_blocks(self.centers):
+            for j, (cols, dst) in enumerate(picks):
+                bands[j][:, dst] = y[j][:, cols]
+        return out
 
     def band_eig_indices(self, j, tol=1e-8):
         """Eigenvalue indices where band j's kernel is nonzero (exact mode)."""
@@ -480,14 +484,29 @@ def inverse_cg(d, c, tol=1e-10, max_iter=1000):
 def atom_norms_exact(d):
     """Per-band exact atom norms at the centers, in either mode.
 
-    The atoms are formed in blocks of at most 256 columns, never as a dense
-    N x N matrix.
+    The atoms come in identity blocks filtered through all bands at once,
+    never as a dense N x N matrix.
     """
-    out = []
-    for j, c in enumerate(d.centers):
-        norms = [np.linalg.norm(b, axis=0) for b in d._columns(j, c)]
-        out.append(np.concatenate(norms) if norms else np.zeros(0))
+    out = [np.empty(c.size) for c in d.centers]
+    for y, picks in d._atom_blocks(d.centers):
+        norms = np.linalg.norm(y, axis=1)
+        for j, (cols, dst) in enumerate(picks):
+            out[j][dst] = norms[j, cols]
     return out
+
+
+def filtered_probes(d, n_probes, draw):
+    """(ts, filter_all of the probes draw(t), t in ts) per probe block.
+
+    Blocks hold at most W probes in poly mode.  Exact mode filters a block
+    in dense products whose rounding depends on the block's width, so there
+    each probe is a block of its own and the result does not depend on the
+    number of CPUs.  The generator keeps no reference to a yielded block.
+    """
+    blocks = _kernels.probe_blocks(n_probes) if d.mode == "poly" \
+        else [[t] for t in range(n_probes)]
+    for ts in blocks:
+        yield ts, d.filter_all(np.column_stack([draw(t) for t in ts]))
 
 
 def atom_norm_estimate(d, n_probes=50, seed=0):
@@ -502,15 +521,11 @@ def atom_norm_estimate(d, n_probes=50, seed=0):
         raise ValueError("need at least two probes for a standard deviation")
     mean = np.zeros((d.n_bands, d.lap.n))
     m2 = np.zeros_like(mean)
-    # exact mode filters a block in dense products whose rounding depends on
-    # the block's width, so there each probe is a block of its own and the
-    # estimate does not depend on the number of CPUs
-    blocks = _kernels.probe_blocks(n_probes) if d.mode == "poly" \
-        else [[t] for t in range(n_probes)]
-    for ts in blocks:
-        samples = d.filter_all(np.column_stack(
-            [np.random.default_rng([seed, t]).standard_normal(d.lap.n)
-             for t in ts]))
+
+    def draw(t):
+        return np.random.default_rng([seed, t]).standard_normal(d.lap.n)
+
+    for ts, samples in filtered_probes(d, n_probes, draw):
         for b, t in enumerate(ts):
             # m2 += delta * (sample - mean) with the sample's own slice as
             # scratch: one (J, N) temporary fewer, the same arithmetic

@@ -11,13 +11,14 @@ that never factorizes the Laplacian.
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import _kernels
 from .chebyshev import apply_poly_filter, poly_atom
 from .filters import effective_support
-from .frames import solve_cg
+from .frames import filtered_probes, solve_cg
 from .spectrum import rademacher_probe
 
 
@@ -49,9 +50,8 @@ def nonuniform_weights(d, n_probes=10, seed=0):
     if n_probes < 1:
         raise ValueError("n_probes must be at least 1")
     acc = np.zeros((d.n_bands, d.lap.n))
-    for ts in _kernels.probe_blocks(n_probes):
-        samples = d.filter_all(np.column_stack(
-            [rademacher_probe(d.lap.n, seed, t) for t in ts]))
+    draw = partial(rademacher_probe, d.lap.n, seed)
+    for ts, samples in filtered_probes(d, n_probes, draw):
         samples **= 2
         for b in range(len(ts)):
             acc += samples[..., b]
@@ -77,8 +77,7 @@ def signal_adapted_weights(d, f, n_probes=10, seed=0):
         row = base[j] * boost[j]
         s = row.sum()
         out[j] = base[j] if s <= 0 else row / s
-    sums = out.sum(axis=1, keepdims=True)
-    return out / sums
+    return out
 
 
 def uniform_weights(n_bands, n):

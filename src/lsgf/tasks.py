@@ -17,6 +17,8 @@ from .frames import (analysis, atom_norm_estimate, atom_norms_exact,
                      inverse_single_pass)
 
 DELTA_SNR_CAP_DB = 300.0
+# largest noise level whose square, the unit of the SURE risk, is finite
+SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -67,8 +69,9 @@ def sure_threshold_band(alpha, norms, sigma, candidates=None):
         raise ValueError("alpha and norms must align")
     if alpha.size == 0:
         return 0.0
-    if sigma <= 0 or np.any(norms <= 0):
-        raise ValueError("sigma and atom norms must be positive")
+    if not 0 < sigma <= SIGMA_MAX or np.any(norms <= 0):
+        raise ValueError("sigma must be positive, with a finite square, "
+                         "and atom norms positive")
     b = np.abs(alpha) / (sigma * norms)
     if candidates is None:
         candidates = np.unique(np.concatenate([[0.0], b]))

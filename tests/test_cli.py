@@ -414,13 +414,19 @@ def test_malformed_input_exits_2(workspace, capsys):
         ["transform", "--graph", str(g), "--signal", str(f), "--out",
          str(tmp / "c.lsgc"), "--design", "dct", "--warp", "log", "--nu",
          "inf"],
+        *(["denoise", "--graph", str(g), "--signal", str(f), "--sigma",
+           sigma, "--out", str(tmp / "den.json")]
+          for sigma in ("1e200", "nan", "inf")),
     ]
     capsys.readouterr()
     for argv in bad:
         if argv[0] == "generate":
             argv = argv + ["--out", str(tmp / "bad.csv")]
         assert main(argv) == 2, argv
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if argv[0] == "denoise":
+            assert "--sigma" in err
     assert not (tmp / "bad.csv").exists()
     assert not (tmp / "cen_neg.csv").exists()
 

@@ -208,13 +208,8 @@ def test_dual_certificate_bounds_grid_error(setup):
         d.dual(241)
 
 
-def test_preconditioned_cg_column_count(setup, monkeypatch):
-    # right-hand side K, r(L) once D, one iteration's analysis + synthesis
-    # 2K: sparse products counted where the kernels make them
-    g, lap, eig, f = setup
-    k = 30
-    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 5), k)
-    c = analysis(d, f)
+def _count_columns(monkeypatch):
+    # sparse products counted where the kernels make them
     columns = []
     operator = _kernels._operator
 
@@ -228,6 +223,17 @@ def test_preconditioned_cg_column_count(setup, monkeypatch):
 
     monkeypatch.setattr(_kernels, "_operator",
                         lambda *csr: Counting(operator(*csr)))
+    return columns
+
+
+def test_preconditioned_cg_column_count(setup, monkeypatch):
+    # right-hand side K, r(L) once D, one iteration's analysis + synthesis
+    # 2K
+    g, lap, eig, f = setup
+    k = 30
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 5), k)
+    c = analysis(d, f)
+    columns = _count_columns(monkeypatch)
     fr, info = inverse_cg(d, c, tol=1e-6)
     assert info.converged and info.n_iter == 1
     assert sum(columns) == k + info.precond_degree + 2 * k
@@ -315,6 +321,22 @@ def test_dictionary_mode_follows_its_representation(setup):
             Dictionary(lap, bank, **kw)
 
 
+def test_complete_atoms_cost_n_k_columns(setup, monkeypatch):
+    # every identity column passes once through the recurrence that all
+    # bands share: N K sparse-product columns, not J N K
+    g, lap, eig, f = setup
+    k = 12
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 5), k)
+    columns = _count_columns(monkeypatch)
+    mat = d.materialize()
+    assert sum(columns) == g.n * k
+    columns.clear()
+    norms = atom_norms_exact(d)
+    assert sum(columns) == g.n * k
+    assert np.allclose(np.concatenate(norms), np.linalg.norm(mat, axis=0),
+                       rtol=1e-14, atol=0)
+
+
 def _tobytes_digest(d):
     # the token's formula written with a tobytes() copy of every array
     h = hashlib.sha256()
@@ -360,12 +382,14 @@ def test_atoms_match_band_matrix(setup):
     g, lap, eig, f = setup
     bank = make_uniform_translates(lap.lambda_max_bound, 3, "hann")
     d = dictionary_exact(lap, bank, eig)
-    bm = d.band_matrix(1)
-    assert np.allclose(d.atom(1, 7), bm[:, 7], atol=1e-12)
     mat = d.materialize()
     assert mat.shape == (g.n, 3 * g.n)
-    # band-major layout with ascending centers
-    assert np.allclose(mat[:, g.n + 7], bm[:, 7], atol=1e-12)
+    # band-major layout with ascending centers: band 1 is the middle slice
+    bm = mat[:, g.n:2 * g.n]
+    u = eig.vectors
+    assert np.allclose(bm, (u * bank.kernels[1](eig.values)) @ u.T, rtol=0,
+                       atol=1e-12)
+    assert np.allclose(d.atom(1, 7), bm[:, 7], atol=1e-12)
 
 
 def test_poly_atom_matrices_match_poly_atoms():
@@ -375,16 +399,19 @@ def test_poly_atom_matrices_match_poly_atoms():
     lap = build_laplacian(g, kind="combinatorial")
     centers = [np.arange(g.n), np.arange(0, g.n, 7), np.array([], int),
                np.array([5, 299])]
-    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 20,
-                        centers=centers)
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    d = dictionary_poly(lap, bank, 20, centers=centers)
     cols = [np.column_stack([poly_atom(d.approx[j], lap, i) for i in c])
             if c.size else np.zeros((g.n, 0)) for j, c in enumerate(centers)]
     assert np.array_equal(d.materialize(), np.hstack(cols))
     norms = atom_norms_exact(d)
+    # complete centers: band j of the band-major matrix is all of p_j(L)
+    full = dictionary_poly(lap, bank, 20).materialize()
     for j, (c, want) in enumerate(zip(centers, cols)):
         dense = np.column_stack([poly_atom(d.approx[j], lap, i)
                                  for i in range(g.n)])
-        assert np.allclose(d.band_matrix(j), dense, rtol=0, atol=1e-12)
+        band = full[:, j * g.n:(j + 1) * g.n]
+        assert np.allclose(band, dense, rtol=0, atol=1e-12)
         assert norms[j].shape == (c.size,)
         assert np.allclose(norms[j], np.linalg.norm(want, axis=0), rtol=0,
                            atol=1e-12)
@@ -399,8 +426,10 @@ def test_exact_atom_matrices_match_dense_formula(setup):
     u = eig.vectors
     dense = [(u * k(eig.values)) @ u.T for k in bank.kernels]
     norms = atom_norms_exact(d)
+    full = dictionary_exact(lap, bank, eig).materialize()
     for j, c in enumerate(centers):
-        assert np.allclose(d.band_matrix(j), dense[j], rtol=0, atol=1e-12)
+        band = full[:, j * g.n:(j + 1) * g.n]
+        assert np.allclose(band, dense[j], rtol=0, atol=1e-12)
         want = np.linalg.norm(dense[j][:, c], axis=0)
         assert norms[j].shape == (c.size,)
         assert np.allclose(norms[j], want, rtol=0, atol=1e-12)
@@ -603,6 +632,34 @@ def test_synthesis_is_adjoint_of_analysis(setup, seed, mode):
     lhs = sum(float(a @ b) for a, b in zip(analysis(d, f).bands, c.bands))
     rhs = float(f @ synthesis(d, c))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * c.norm()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), design=st.sampled_from(["sgwt",
+                                                                 "itersine"]),
+       n_bands=st.integers(2, 6), degree=st.integers(5, 40),
+       eigenvector=st.booleans())
+def test_analysis_energy_lies_within_frame_bounds(seed, design, n_bands,
+                                                  degree, eigenvector):
+    # A ||f||^2 <= ||Phi* f||^2 <= B ||f||^2 with complete centers: the grid
+    # bounds of the fitted q certify poly mode, the bounds over the true
+    # spectrum exact mode; an eigenvector signal can meet a bound
+    g = sensor_graph(40, seed=seed % 1000)
+    lap = build_laplacian(g, kind="combinatorial")
+    eig = eigendecompose(lap)
+    bank = make_sgwt(lap.lambda_max_bound, n_bands) if design == "sgwt" \
+        else make_uniform_translates(lap.lambda_max_bound, n_bands,
+                                     "itersine")
+    rng = np.random.default_rng(seed)
+    f = eig.vectors[:, rng.integers(g.n)] if eigenvector \
+        else rng.standard_normal(g.n)
+    energy = float(f @ f)
+    for d, basis in ((dictionary_poly(lap, bank, degree), "grid"),
+                     (dictionary_exact(lap, bank, eig), "exact_sigma")):
+        b = frame_bounds(d, basis=basis)
+        got = analysis(d, f).norm() ** 2
+        slack = 1e-12 * b.upper * energy
+        assert b.lower * energy - slack <= got <= b.upper * energy + slack
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from lsgf import io
 from lsgf.filters import make_uniform_translates
-from lsgf.frames import analysis, dictionary_exact, synthesis
+from lsgf.frames import (Coefficients, analysis, dictionary_exact,
+                         synthesis)
 from lsgf.generators import path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 from lsgf.io import (COEFF_MAGIC, COEFF_VERSION, export_coefficients_csv,
@@ -20,7 +21,7 @@ from lsgf.io import (COEFF_MAGIC, COEFF_VERSION, export_coefficients_csv,
                      save_cdf_csv, save_centers_csv, save_coefficients,
                      save_graph_csv, save_graph_mm, save_signal_csv)
 from lsgf.sampling import CenterSets
-from lsgf.spectrum import estimate_spectral_cdf
+from lsgf.spectrum import SpectralCDF, estimate_spectral_cdf
 
 
 def _same_graph(a, b):
@@ -266,6 +267,97 @@ def test_coefficients_csv_export(tmp_path, coeff_setup):
     assert int(band) == 0
     assert int(vertex) == coeffs.centers[0][0]
     assert float(value) == coeffs.bands[0][0]
+
+
+# finite floats with the edge cases spelled out: signed zeros, subnormals,
+# the normal floor and the largest magnitudes
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+          1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+_finite = st.one_of(st.sampled_from(_EDGES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_nonneg = st.one_of(st.sampled_from([x for x in _EDGES if x >= 0]),
+                    st.floats(min_value=0.0, allow_infinity=False))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_finite, min_size=1, max_size=20),
+       header=st.sampled_from(["value", ""]))
+def test_signal_file_round_trips_bit_for_bit(tmp_path_factory, values,
+                                             header):
+    p = tmp_path_factory.mktemp("io") / "f.csv"
+    save_signal_csv(p, values, header=header)
+    assert np.array_equal(_bits(load_signal_csv(p)), _bits(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=st.lists(_nonneg, min_size=2, max_size=12, unique=True),
+       data=st.data())
+def test_cdf_file_round_trips_bit_for_bit(tmp_path_factory, grid, data):
+    grid = sorted(grid)
+    rises = data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310]),
+                  st.floats(0.0, 1.0)),
+        min_size=len(grid) - 1, max_size=len(grid) - 1))
+    cdf = SpectralCDF(grid=grid, values=sorted(rises) + [1.0])
+    p = tmp_path_factory.mktemp("io") / "cdf.csv"
+    save_cdf_csv(p, cdf)
+    got = load_cdf_csv(p)
+    assert np.array_equal(_bits(got.grid), _bits(cdf.grid))
+    assert np.array_equal(_bits(got.values), _bits(cdf.values))
+
+
+@st.composite
+def _center_sets(draw):
+    sets, weights = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        verts = sorted(draw(st.sets(st.integers(0, 2 ** 63 - 1),
+                                    max_size=6)))
+        sets.append(np.array(verts, dtype=np.int64))
+        weights.append(np.array([draw(_nonneg) for _ in verts]))
+    return CenterSets(sets=sets, weights=weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(centers=_center_sets())
+def test_centers_file_round_trips_bit_for_bit(tmp_path_factory, centers):
+    p = tmp_path_factory.mktemp("io") / "c.csv"
+    save_centers_csv(p, centers)
+    if not centers.total:
+        return  # a file without rows is refused as empty
+    got = load_centers_csv(p, n_bands=centers.n_bands)
+    for j in range(centers.n_bands):
+        assert np.array_equal(got.sets[j], centers.sets[j])
+        assert np.array_equal(_bits(got.weights[j]),
+                              _bits(centers.weights[j]))
+
+
+@st.composite
+def _coefficient_sets(draw):
+    n = draw(st.integers(1, 2 ** 32 - 1))
+    centers = [np.array(sorted(draw(st.sets(st.integers(0, n - 1),
+                                            max_size=min(n, 6)))),
+                        dtype=np.int64)
+               for _ in range(draw(st.integers(0, 4)))]
+    bands = [np.array([draw(_finite) for _ in c], dtype=np.float64)
+             for c in centers]
+    return Coefficients(bands=bands, centers=centers, n=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=_coefficient_sets())
+def test_coefficient_file_round_trips_bit_for_bit(tmp_path_factory,
+                                                  coeffs):
+    p = tmp_path_factory.mktemp("io") / "c.lsgc"
+    save_coefficients(p, coeffs)
+    got = load_coefficients(p, coeffs.n)
+    assert got.n == coeffs.n and got.n_bands == coeffs.n_bands
+    for j in range(coeffs.n_bands):
+        assert np.array_equal(got.centers[j], coeffs.centers[j])
+        assert np.array_equal(_bits(got.bands[j]), _bits(coeffs.bands[j]))
 
 
 def test_parse_keyvalue():

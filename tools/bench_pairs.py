@@ -12,7 +12,8 @@ winning 9 of 10.  Besides the end-to-end metrics, each untraced run's
 detail line gives the median wall time of every part of a request
 (``parts_p50_s``: the CLI stages, or denoise and round trip), summarized the
 same way under "parts".  Each side then makes one --trace 1 run for the
-per-layer figures.  Each end-to-end metric's entry carries the verdict
+per-layer figures, and "src_lines" records each side's line count of
+src/lsgf/*.py.  Each end-to-end metric's entry carries the verdict
 the benchmark's rules give it, with the bound read from the change's
 BENCHMARK.json:
 
@@ -70,6 +71,12 @@ def fresh_copy(checkout, dest):
         if src.is_file():
             Path(dest, name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, Path(dest, name))
+
+
+def src_lines(checkout):
+    """Lines of the package's modules, src/lsgf/*.py, as wc -l counts."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in Path(checkout, "src", "lsgf").glob("*.py"))
 
 
 def summary(values):
@@ -142,7 +149,9 @@ def measure(sides, specs, workload, seed):
                 file=sys.stderr, flush=True)
 
     entry = {"seed": seed, "pairs": PAIRS,
-             "seconds": SECONDS, "env": env, "end_to_end": {},
+             "seconds": SECONDS, "env": env,
+             "src_lines": {side: src_lines(sides[side]) for side in sides},
+             "end_to_end": {},
              "failed_frac": {side: max(r["failed"] / r["attempted"]
                                        for r in runs[side])
                              for side in sides}}
