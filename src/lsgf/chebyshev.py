@@ -59,15 +59,13 @@ def chebyshev_fit(kernel, degree, lambda_bar, jackson=False):
         raise ValueError(f"lambda_bar must be positive and finite, got "
                          f"{lambda_bar!r}")
     m = max(4 * degree, 256)
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    s = np.cos(theta)
-    lam = (s + 1.0) * lambda_bar / 2.0
+    lam = (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) * lambda_bar / 2.0
     vals = np.asarray(kernel(lam), dtype=np.float64)
     if vals.shape != lam.shape:
         raise ValueError("kernel must evaluate elementwise on arrays")
-    # in place: the (K+1, m) cosine matrix is the fit's largest array
-    cosines = np.outer(np.arange(degree + 1), theta)
-    coeffs = (2.0 / m) * (np.cos(cosines, out=cosines) @ vals)
+    # the cosine sums are a DCT-II, read off the FFT of [vals, vals reversed]
+    y = np.fft.rfft(np.concatenate([vals, vals[::-1]]))[:degree + 1]
+    coeffs = (y * np.exp(-0.5j * np.pi * np.arange(degree + 1) / m)).real / m
     coeffs[0] /= 2.0
     if jackson:
         coeffs = coeffs * jackson_coefficients(degree)

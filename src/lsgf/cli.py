@@ -191,7 +191,6 @@ def cmd_sample(args):
         eig = eigendecompose(lap)
         centers = sampling.uniqueness_partition(eig, bank)
     else:
-        d = dictionary_poly(lap, bank, args.degree, jackson=args.jackson)
         if args.counts:
             counts = np.array([int(c) for c in args.counts.split(",")])
             if counts.size != bank.n_kernels:
@@ -203,10 +202,8 @@ def cmd_sample(args):
                    else estimate_spectral_cdf(lap, seed=args.seed))
             counts = sampling.allocate_samples(cdf, bank, args.total)
         if args.method == "greedy":
-            sets = [sampling.greedy_centers(lap, d.approx[j], int(counts[j]))
-                    for j in range(bank.n_kernels)]
-            centers = sampling.CenterSets(
-                sets=sets, weights=[np.ones(s.size) for s in sets])
+            centers = sampling.greedy_centers(
+                _build_dictionary(args, lap, bank), counts)
         else:
             if args.weights == "uniform":
                 w = sampling.uniform_weights(bank.n_kernels, lap.n)
@@ -214,12 +211,13 @@ def cmd_sample(args):
                 if not args.signal:
                     raise ValueError("--signal required for adapted weights")
                 f = io.load_signal_csv(args.signal)
-                w = sampling.signal_adapted_weights(d, f,
-                                                    n_probes=args.n_probes,
-                                                    seed=args.seed)
+                w = sampling.signal_adapted_weights(
+                    _build_dictionary(args, lap, bank), f,
+                    n_probes=args.n_probes, seed=args.seed)
             else:
-                w = sampling.nonuniform_weights(d, n_probes=args.n_probes,
-                                                seed=args.seed)
+                w = sampling.nonuniform_weights(
+                    _build_dictionary(args, lap, bank),
+                    n_probes=args.n_probes, seed=args.seed)
             centers = sampling.draw_centers(w, counts, seed=args.seed)
     io.save_centers_csv(args.out, centers)
     print(f"{centers.total} centers over {centers.n_bands} bands "

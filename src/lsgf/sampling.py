@@ -15,8 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _kernels
-from .chebyshev import apply_poly_filter, poly_atom
+from .chebyshev import apply_poly_filter
 from .filters import effective_support
 from .frames import filtered_probes, solve_cg
 from .spectrum import rademacher_probe
@@ -117,35 +116,38 @@ def draw_centers(weights, counts, seed=0):
     return CenterSets(sets=sets, weights=wts)
 
 
-def greedy_centers(lap, p, count, prune_level=0.01):
-    """Deterministic selection by localized-atom mass with suppression.
+def greedy_centers(d, counts, prune_level=0.01):
+    """Deterministic centers per band by atom mass with suppression.
 
-    Scores every vertex by the l1 norm of its polynomial atom p(L) delta_i,
-    repeatedly takes the best-scored vertex (ties break to the lowest
-    index), and damps the scores of unchosen vertices covered by the chosen
-    atom: entries above prune_level times the atom's sup norm are scaled by
-    one minus their relative magnitude.  Atoms are scored in column blocks,
-    so memory is O(N); no eigendecomposition is used.
+    Scores all bands' centers by the l1 norms of their atoms in one pass
+    over identity blocks.  Each band then takes its best-scored center and
+    damps unchosen centers its atom covers: entries above prune_level times
+    the atom's peak scale their scores by one minus their relative size.
+    Scores within N eps of the top, the rounding bound of an N-term sum,
+    tie, and ties go to the lowest vertex, whatever the summation order.
     """
-    n = lap.n
-    if not 1 <= count <= n:
-        raise ValueError("count must be between 1 and n")
-    m = lap.chebyshev_operator(p.lambda_bar)
-    scores = np.empty(n)
-    block = 256
-    for start in range(0, n, block):
-        eye = np.eye(n, min(block, n - start), k=-start)
-        cols = _kernels.cheb_apply(*m, p.coeffs, eye)
-        scores[start:start + eye.shape[1]] = np.abs(cols).sum(axis=0)
-    for _ in range(count):
-        # a chosen vertex is marked by a score of -inf and never damped
-        i = int(np.argmax(scores))
-        scores[i] = -np.inf
-        atom = np.abs(poly_atom(p, lap, i))
-        peak = atom.max()
-        mask = (atom > prune_level * peak) & (scores > -np.inf)
-        scores[mask] *= 1.0 - atom[mask] / peak
-    return np.flatnonzero(scores == -np.inf)
+    counts = np.asarray(counts, dtype=np.int64)
+    sizes = np.array([c.size for c in d.centers])
+    if counts.shape != sizes.shape or np.any((counts < 1) | (counts > sizes)):
+        raise ValueError("need one count per band, from 1 to the band's "
+                         "number of centers")
+    scores = [np.empty(n) for n in sizes]
+    for y, picks in d._atom_blocks(d.centers):
+        mass = np.abs(y).sum(axis=1)
+        for j, (cols, dst) in enumerate(picks):
+            scores[j][dst] = mass[j, cols]
+    tie = d.n * np.finfo(np.float64).eps
+    sets = []
+    for j, (centers, s) in enumerate(zip(d.centers, scores)):
+        for _ in range(counts[j]):
+            # a chosen center is marked by a score of -inf and never damped
+            i = int(np.flatnonzero(s >= (1.0 - tie) * s.max())[0])
+            s[i] = -np.inf
+            atom = np.abs(d.atom(j, centers[i]))
+            mask = (atom[centers] > prune_level * atom.max()) & (s > -np.inf)
+            s[mask] *= 1.0 - atom[centers[mask]] / atom.max()
+        sets.append(centers[s == -np.inf])
+    return CenterSets(sets=sets, weights=[np.ones(c.size) for c in sets])
 
 
 def _band_cdf_increment(kernel, cdf):

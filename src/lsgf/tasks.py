@@ -81,11 +81,12 @@ def sure_threshold_band(alpha, norms, sigma, candidates=None):
             raise ValueError("candidate thresholds must be nonnegative")
     order = np.argsort(b, kind="stable")
     b_s = b[order]
-    pref_a2 = np.concatenate([[0.0], np.cumsum(alpha[order] ** 2)])
+    # the risk in units of sigma^2, which then never appears squared
+    pref = np.concatenate([[0.0], np.cumsum((alpha[order] / sigma) ** 2)])
     suff_n2 = np.concatenate([np.cumsum((norms[order] ** 2)[::-1])[::-1],
                               [0.0]])
     m = np.searchsorted(b_s, candidates, side="right")
-    obj = pref_a2[m] + sigma ** 2 * (candidates ** 2 + 2.0) * suff_n2[m]
+    obj = pref[m] + (candidates ** 2 + 2.0) * suff_n2[m]
     return float(candidates[int(np.argmin(obj))])
 
 

@@ -30,6 +30,24 @@ def test_heat_kernel_sup_error_small():
     assert sup_error(p, heat(lb)) <= 1e-8
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 40, 63, 64, 100, 320])
+def test_fit_matches_the_cosine_sums(degree):
+    # the FFT's DCT against the (K+1) x m cosine sums it replaces; the two
+    # round differently, by a few ulps of the coefficients' l1 norm
+    lb = 7.3
+    m = max(4 * degree, 256)
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    lam = (np.cos(theta) + 1.0) * lb / 2.0
+    for kernel in (heat(lb), lambda x: (x > 1.3).astype(np.float64),
+                   lambda x: np.sin(3.0 * x) ** 2):
+        want = (2.0 / m) * (np.cos(np.outer(np.arange(degree + 1), theta))
+                            @ kernel(lam))
+        want[0] /= 2.0
+        got = chebyshev_fit(kernel, degree, lb).coeffs
+        tol = 64 * np.finfo(np.float64).eps * np.abs(want).sum()
+        assert np.abs(got - want).max() <= tol
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
 def test_fit_refuses_a_bad_interval(bad):
     with pytest.raises(ValueError, match="positive and finite"):

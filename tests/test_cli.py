@@ -26,6 +26,7 @@ from lsgf.graphs import build_laplacian, eigendecompose
 from lsgf.io import (_is_number, load_cdf_csv, load_centers_csv,
                      load_coefficients, load_graph, load_signal_csv,
                      save_graph_csv, save_signal_csv)
+from lsgf.sampling import greedy_centers
 
 
 @pytest.fixture()
@@ -184,6 +185,46 @@ def test_sample_total_allocates(workspace):
     sets = load_centers_csv(cen, n_bands=4)
     assert sets.total == 20
     assert all(s.size >= 1 for s in sets.sets)
+
+
+@pytest.mark.parametrize("mode", ["exact", "poly"])
+def test_sample_greedy_in_either_mode(workspace, mode):
+    tmp_path, g, f = workspace
+    cen = tmp_path / "cen.csv"
+    assert main(["sample", "--graph", str(g), "--design", "sgwt",
+                 "--n-bands", "4", "--degree", "20", "--method", "greedy",
+                 "--mode", mode, "--counts", "3,2,4,1",
+                 "--out", str(cen)]) == 0
+    lap = build_laplacian(load_graph(g), kind="combinatorial")
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    d = dictionary_exact(lap, bank, eigendecompose(lap)) if mode == "exact" \
+        else dictionary_poly(lap, bank, 20)
+    want = greedy_centers(d, [3, 2, 4, 1])
+    got = load_centers_csv(cen, n_bands=4)
+    assert [s.tolist() for s in got.sets] == [s.tolist() for s in want.sets]
+    assert all(np.all(w == 1.0) for w in got.weights)
+
+
+def test_sample_exact_mode_draws_only_from_uniform_weights(workspace,
+                                                           capsys,
+                                                           monkeypatch):
+    # probe weights are estimated in polynomial mode and exact mode does
+    # not pretend otherwise; uniform weights read no dictionary, so they
+    # cost no eigendecomposition
+    tmp_path, g, f = workspace
+    cen = tmp_path / "cen.csv"
+    base = ["sample", "--graph", str(g), "--n-bands", "4", "--mode", "exact",
+            "--counts", "3,2,4,1", "--signal", str(f), "--out", str(cen)]
+    with monkeypatch.context() as m:
+        m.setattr(lsgf.cli, "eigendecompose", None)
+        assert main(base + ["--weights", "uniform"]) == 0
+    assert [s.size for s in load_centers_csv(cen, n_bands=4).sets] \
+        == [3, 2, 4, 1]
+    cen.unlink()
+    for weights in ("probe", "signal"):
+        assert main(base + ["--weights", weights]) == 2
+        assert "polynomial mode" in capsys.readouterr().err
+        assert not cen.exists()
 
 
 def test_denoise_reports_metrics(workspace):

@@ -22,6 +22,7 @@ from lsgf.frames import (Coefficients, Dictionary, analysis,
                          solve_cg, synthesis)
 from lsgf.generators import clique_chain_graph, path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
+from lsgf.sampling import greedy_centers
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +336,19 @@ def test_complete_atoms_cost_n_k_columns(setup, monkeypatch):
     assert sum(columns) == g.n * k
     assert np.allclose(np.concatenate(norms), np.linalg.norm(mat, axis=0),
                        rtol=1e-14, atol=0)
+
+
+def test_greedy_scores_cost_n_k_columns_for_all_bands(monkeypatch):
+    # all bands score from one pass over identity blocks, N K columns, and
+    # each pick filters its one atom, K more; scoring band by band took
+    # J N K
+    lap = build_laplacian(sensor_graph(300, seed=4), kind="combinatorial")
+    k = 20
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), k)
+    columns = _count_columns(monkeypatch)
+    got = greedy_centers(d, [10] * 4)
+    assert sum(columns) == lap.n * k + 4 * 10 * k == 6800
+    assert [s.size for s in got.sets] == [10] * 4
 
 
 def _tobytes_digest(d):

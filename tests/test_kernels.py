@@ -210,10 +210,11 @@ def test_chebyshev_operator_is_built_once_per_interval(small_laps):
 def test_interval_below_the_bound_is_refused(lap):
     p = ChebyshevApprox(3, np.ones(4), 0.9 * lap.lambda_max_bound)
     x = np.ones(lap.n)
+    d = dictionary_poly(lap, make_sgwt(p.lambda_bar, 4), 3)
     calls = [lambda: apply_poly_filter(p, lap, x),
              lambda: apply_poly_bank([p], lap, x),
              lambda: apply_poly_bank_adjoint([p], lap, x[None]),
-             lambda: greedy_centers(lap, p, 1)]
+             lambda: greedy_centers(d, [1] * 4)]
     for call in calls:
         with pytest.raises(ValueError, match="does not cover the "
                            "Laplacian's recorded bound"):

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 
 from lsgf.chebyshev import apply_poly_filter, chebyshev_fit
-from lsgf.filters import (make_ideal_partition, make_sgwt,
-                          make_uniform_translates)
+from lsgf.filters import (FilterBank, Kernel, make_ideal_partition,
+                          make_sgwt, make_uniform_translates)
 from lsgf.frames import dictionary_exact, dictionary_poly
-from lsgf.generators import cycle_graph, path_graph, sensor_graph
+from lsgf.generators import cycle_graph, grid_graph, path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 from lsgf.sampling import (allocate_samples, band_reconstruct,
                            default_band_penalty, draw_centers,
@@ -147,19 +147,29 @@ def test_draw_centers_never_draw_zero_weight_vertices():
 
 
 def test_greedy_centers_path_oracle():
-    # on a 9-path with a heat atom, vertex 3 carries the largest l1 mass;
-    # suppression then drives the remaining picks to the two ends
+    # on a 9-path every heat atom has l1 mass p(0), since 1' p(L) = p(0) 1'
+    # and the atoms are nonnegative: the first pick is the lowest vertex of
+    # an exact tie.  Vertex 0's atom passes 1% of its peak only at vertices
+    # 1-4, so 5 is the lowest vertex left undamped, and after 5 vertex 8
+    # keeps the most mass
     lap = build_laplacian(path_graph(9), kind="combinatorial")
-    p = chebyshev_fit(lambda x: np.exp(-x), 10, lap.lambda_max_bound)
-    assert greedy_centers(lap, p, 1).tolist() == [3]
-    assert greedy_centers(lap, p, 3).tolist() == [0, 3, 8]
+    lb = lap.lambda_max_bound
+    heat = FilterBank(kernels=(Kernel("diffusion", lb, {"tau": 1.0}),),
+                      lambda_bar=lb, design="heat")
+    d = dictionary_poly(lap, heat, 10)
+    assert np.array_equal(d.approx[0].coeffs, chebyshev_fit(
+        lambda x: np.exp(-x), 10, lb).coeffs)
+    assert greedy_centers(d, [1]).sets[0].tolist() == [0]
+    got = greedy_centers(d, [3])
+    assert got.sets[0].tolist() == [0, 5, 8]
+    assert got.weights[0].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_greedy_suppression_changes_selection(setup):
     # without suppression the best-scored vertices cluster; greedy picks a
     # different, more spread-out set
     g, lap, eig, bank, dp = setup
-    got = greedy_centers(lap, dp.approx[0], 6)
+    got = greedy_centers(dp, [6, 1, 1, 1]).sets[0]
     assert got.size == 6 and np.unique(got).size == 6
     scores = np.empty(g.n)
     for i in range(g.n):
@@ -174,15 +184,73 @@ def test_greedy_centers_never_repick_a_chosen_vertex():
     # here a chosen vertex is the peak of a later atom; damping its -inf
     # score by the factor 0 would give NaN, which argmax picks again
     lap = build_laplacian(sensor_graph(300, seed=0), kind="combinatorial")
-    p = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 20).approx[0]
-    got = greedy_centers(lap, p, 40)
-    assert got.size == 40 and np.unique(got).size == 40
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 20)
+    got = greedy_centers(d, [40, 40, 40, 40])
+    assert all(s.size == 40 and np.unique(s).size == 40 for s in got.sets)
 
 
 def test_greedy_count_guard(setup):
     g, lap, eig, bank, dp = setup
-    with pytest.raises(ValueError, match="count"):
-        greedy_centers(lap, dp.approx[0], 0)
+    for counts in ([0, 1, 1, 1], [1, 1, 1, g.n + 1]):
+        with pytest.raises(ValueError, match="count"):
+            greedy_centers(dp, counts)
+    with pytest.raises(ValueError, match="one count per band"):
+        greedy_centers(dp, [1, 1, 1])
+
+
+def test_greedy_centers_in_a_band_without_spectrum():
+    # an ideal band that holds no eigenvalue has only zero atoms: every
+    # score ties at zero and nothing is damped, so the lowest vertices win
+    lap = build_laplacian(path_graph(4), kind="combinatorial")
+    d = dictionary_exact(lap, make_ideal_partition(lap.lambda_max_bound, 8),
+                         eigendecompose(lap))
+    empty = [j for j in range(8) if d.band_eig_indices(j).size == 0]
+    assert empty
+    got = greedy_centers(d, [2] * 8)
+    assert all(got.sets[j].tolist() == [0, 1] for j in empty)
+
+
+def test_greedy_first_pick_on_a_cycle_is_vertex_0():
+    # every vertex of a cycle is alike, so all scores tie in every band and
+    # the first pick is the lowest vertex, whatever the rounding
+    lap = build_laplacian(cycle_graph(30), kind="combinatorial")
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 20)
+    assert [s.tolist() for s in greedy_centers(d, [1] * 4).sets] == [[0]] * 4
+
+
+def _greedy_reference(atoms, scores, count, tie, prune_level=0.01):
+    s = scores.copy()
+    for _ in range(count):
+        top = s.max()
+        i = int(np.flatnonzero(s >= top - tie * abs(top))[0])
+        s[i] = -np.inf
+        atom = np.abs(atoms[:, i])
+        mask = (atom > prune_level * atom.max()) & (s > -np.inf)
+        s[mask] *= 1.0 - atom[mask] / atom.max()
+    return np.flatnonzero(s == -np.inf).tolist()
+
+
+@pytest.mark.parametrize("rows", [12, 20])
+def test_greedy_picks_do_not_depend_on_summation_order(rows):
+    # a grid's corners, edges and interior each score alike up to rounding;
+    # sequential row sums and pairwise column sums of the same atoms round
+    # differently, and plain argmax lets that pick the winner
+    lap = build_laplacian(grid_graph(rows, rows), kind="combinatorial")
+    d = dictionary_poly(lap, make_sgwt(lap.lambda_max_bound, 4), 20)
+    n, eps = lap.n, np.finfo(np.float64).eps
+    got = greedy_centers(d, [5] * 4)
+    plain_differs = []
+    for j, band in enumerate(np.split(np.abs(d.materialize()), 4, axis=1)):
+        sequential = np.zeros(n)
+        for row in band:
+            sequential += row
+        pairwise = np.ascontiguousarray(band.T).sum(axis=1)
+        picks = [_greedy_reference(band, s, 5, n * eps)
+                 for s in (sequential, pairwise)]
+        assert picks == [got.sets[j].tolist()] * 2
+        plain_differs.append(_greedy_reference(band, sequential, 5, 0.0)
+                             != _greedy_reference(band, pairwise, 5, 0.0))
+    assert any(plain_differs)
 
 
 def test_allocate_cycle4_oracle():

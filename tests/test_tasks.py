@@ -76,6 +76,20 @@ def test_sure_scan_beats_dense_grid():
         assert best <= min(vals) + 1e-9
 
 
+def test_sure_threshold_is_invariant_to_a_power_of_two_scale():
+    # the risk is scored in units of sigma^2, so scaling coefficients and
+    # noise level by 2^k changes no rounding, even at 2^511, just below
+    # SIGMA_MAX, where the squared coefficients themselves would overflow
+    rng = np.random.default_rng(7)
+    alpha = 2.0 * rng.standard_normal(40)
+    norms = rng.uniform(0.3, 2.0, 40)
+    want = sure_threshold_band(alpha, norms, 1.0)
+    assert want > 0
+    for k in (-500, 0, 300, 511):
+        scale = 2.0 ** k
+        assert sure_threshold_band(alpha * scale, norms, scale) == want
+
+
 def test_sure_objective_estimates_risk_unbiasedly():
     # averaged over noise draws, the scanned objective matches the true
     # shrinkage risk plus the constant coefficient noise energy

@@ -4,9 +4,9 @@ Each side is a git checkout holding perfbench/run.py and src/lsgf.  Its
 tracked files and its untracked files that git does not ignore are first
 copied into a fresh temporary directory, and the runs time that copy, so
 neither side starts with bytecode caches or other leftovers that a clean
-checkout would not have.  Pair i runs
-both sides once for SECONDS at --trace 0, the parent first in even pairs and
-the change first in odd ones, so drift of the host over a run does not
+checkout would not have.  Pair i runs both sides once at --trace 0 for the
+run_seconds of the change's BENCHMARK.json, the parent first in even pairs
+and the change first in odd ones, so drift of the host over a run does not
 favour a side.  There are PAIRS pairs, the fewest that can show a side
 winning 9 of 10.  Besides the end-to-end metrics, each untraced run's
 detail line gives the median wall time of every part of a request
@@ -44,14 +44,13 @@ from pathlib import Path
 
 PAIRS = 10
 WIN_PAIRS = 9
-SECONDS = 38.0  # the run length BENCHMARK.json gives each workload
 
 
-def run(checkout, workload, seed, trace):
+def run(checkout, workload, seed, seconds, trace):
     """(detail, result) of one benchmark run in that checkout."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS),
+         "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     detail, result = (json.loads(line) for line in out.splitlines()[-2:])
@@ -117,13 +116,14 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    specs = {m["name"]: m for m in json.loads(
-        (Path(args.change) / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
+    specs = {m["name"]: m for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         sides = {side: Path(tmp, side) for side in ("parent", "change")}
         for side, path in sides.items():
             fresh_copy(getattr(args, side), path)
-        entry = measure(sides, specs, args.workload, args.seed)
+        entry = measure(sides, specs, args.workload, args.seed,
+                        bench["run_seconds"])
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -132,7 +132,7 @@ def main(argv=None):
     return 0
 
 
-def measure(sides, specs, workload, seed):
+def measure(sides, specs, workload, seed, seconds):
     """The paired entry of one workload, from the checkouts in sides."""
     runs = {side: [] for side in sides}
     parts = {side: [] for side in sides}
@@ -140,7 +140,7 @@ def measure(sides, specs, workload, seed):
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            detail, result = run(sides[side], workload, seed, 0)
+            detail, result = run(sides[side], workload, seed, seconds, 0)
             env = env or detail["env"]
             runs[side].append(result)
             parts[side].append(detail["parts_p50_s"])
@@ -149,7 +149,7 @@ def measure(sides, specs, workload, seed):
                 file=sys.stderr, flush=True)
 
     entry = {"seed": seed, "pairs": PAIRS,
-             "seconds": SECONDS, "env": env,
+             "seconds": seconds, "env": env,
              "src_lines": {side: src_lines(sides[side]) for side in sides},
              "end_to_end": {},
              "failed_frac": {side: max(r["failed"] / r["attempted"]
@@ -170,7 +170,7 @@ def measure(sides, specs, workload, seed):
         for name in sorted(names)}
     entry["per_layer"] = {}
     for side in sides:
-        detail, result = run(sides[side], workload, seed, 1)
+        detail, result = run(sides[side], workload, seed, seconds, 1)
         entry["per_layer"][side] = {
             name: m["value"] for name, m in result["metrics"].items()}
     return entry
