@@ -185,6 +185,10 @@ def cmd_design(args):
 
 
 def cmd_sample(args):
+    if args.method == "random" and args.weights != "uniform" \
+            and args.mode != "poly":
+        # refused before an exact dictionary's eigendecomposition
+        raise ValueError("sampling weights are estimated in polynomial mode")
     lap = _load_lap(args)
     bank = build_bank(args, lap.lambda_max_bound, lap)
     if args.method == "uniqueness":

@@ -16,6 +16,7 @@ the error guarantees of the approximate inverses here.
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebadd, chebder, chebmul, chebroots
@@ -132,13 +133,16 @@ class Dictionary:
             self.centers = [np.arange(lap.n)] * bank.n_kernels
         else:
             self.centers = _check_centers(lap.n, bank.n_kernels, centers)
+        # atoms run band by band, centers ascending: the flat index where
+        # each band after the first starts, so np.split(a, offsets) cuts
+        # any array in atom order into its bands
+        self.offsets = np.cumsum([c.size for c in self.centers])[:-1]
         self.eig = eig
         self.approx = approx
         if eig is not None:
             self._diag = bank.evaluate(eig.values)
         self._dual_fit = None
         self._duals = {}
-        self.token = self._fingerprint()
 
     @property
     def n(self):
@@ -155,26 +159,23 @@ class Dictionary:
     def is_complete(self):
         return all(c.size == self.lap.n for c in self.centers)
 
-    def _fingerprint(self):
+    @cached_property
+    def token(self):
+        """SHA-256, on first read, of what the dictionary applies: the mode,
+        L's CSR arrays, the kernels at the eigenvalues (or lambda_bar and
+        the approximants' coefficients), the band sizes and the centers."""
         # arrays go to the hash as buffers: tobytes() would copy each one
         h = hashlib.sha256()
         h.update(self.mode.encode())
-        h.update(self.lap.kind.encode())
-        h.update(np.int64(self.lap.n).tobytes())
         for a in (self.lap.indptr, self.lap.indices, self.lap.data):
             h.update(np.ascontiguousarray(a))
-        h.update(self.bank.design.encode())
-        for g in self.bank.kernels:
-            h.update(g.family.encode())
-            for key in sorted(g.params):
-                h.update(key.encode())
-                h.update(repr(g.params[key]).encode())
-            if g.warp is not None:
-                h.update(g.warp.kind.encode())
-                h.update(repr(g.warp.nu).encode())
-        if self.approx is not None:
+        if self.mode == "exact":
+            h.update(np.ascontiguousarray(self._diag))
+        else:
+            h.update(np.float64(self.approx[0].lambda_bar))
             for p in self.approx:
                 h.update(np.ascontiguousarray(p.coeffs))
+        h.update(np.array([c.size for c in self.centers], dtype=np.int64))
         for c in self.centers:
             h.update(np.ascontiguousarray(c))
         return h.hexdigest()
@@ -267,35 +268,41 @@ class Dictionary:
             return self.eig.inverse_fourier(np.sum(self._diag * uhat, axis=0))
         return apply_poly_bank_adjoint(self.approx, self.lap, u)
 
-    def _atom_blocks(self, centers):
-        """Identity columns at the sorted union of the center sets, filtered
-        by filter_all in blocks of w = max(1, _BLOCK // J): every column
-        passes once through the recurrence the bands share, and the working
-        set stays O(N x _BLOCK).  Yields each (J, N, w) block with, per
-        center set, its columns in the block and the slice they fill."""
-        union = np.unique(np.concatenate(centers))
-        pos = [np.searchsorted(union, c) for c in centers]
+    def _per_atom(self, reduce):
+        """reduce of every atom, as one array whose last axis is atom order.
+
+        Identity columns at the sorted union of the center sets pass through
+        filter_all in blocks of w = max(1, _BLOCK // J): every column goes
+        once through the recurrence the bands share, and the working set
+        stays O(N x _BLOCK).  reduce maps each (J, N, w) block to a
+        (..., J, w) array, whose entries are scattered to their atoms.
+        """
+        flat = np.concatenate(self.centers)
+        union, col = np.unique(flat, return_inverse=True)
+        band = np.searchsorted(self.offsets, np.arange(flat.size), "right")
         w = max(1, _BLOCK // self.n_bands)
-        for s in range(0, union.size, w):
+        # the atoms of each block, as consecutive runs of this order
+        order = np.argsort(col, kind="stable")
+        runs = np.split(order, np.searchsorted(col[order],
+                                               np.arange(w, union.size, w)))
+        shape = reduce(np.zeros((self.n_bands, self.lap.n, 0))).shape[:-2]
+        out = np.empty(shape + (flat.size,))
+        for s, k in zip(range(0, union.size, w), runs):
             eye = np.zeros((self.lap.n, min(w, union.size - s)))
             eye[union[s:s + w], np.arange(eye.shape[1])] = 1.0
-            ends = [np.searchsorted(p, [s, s + w]) for p in pos]
-            yield self.filter_all(eye), [(p[lo:hi] - s, slice(lo, hi))
-                                         for p, (lo, hi) in zip(pos, ends)]
+            out[..., k] = reduce(self.filter_all(eye))[..., band[k],
+                                                       col[k] - s]
+        return out
 
     def atom(self, j, i):
         """Atom of band j centered at vertex i (column of g_j(L))."""
-        return next(self._atom_blocks([np.array([i])]))[0][j, :, 0]
+        delta = np.zeros((self.lap.n, 1))
+        delta[i] = 1.0
+        return self.filter_all(delta)[j, :, 0]
 
     def materialize(self):
-        """(N, M) atom matrix, bands in order, centers ascending per band."""
-        out = np.empty((self.lap.n, self.n_atoms))
-        bands = np.split(out, np.cumsum([c.size for c in self.centers])[:-1],
-                         axis=1)
-        for y, picks in self._atom_blocks(self.centers):
-            for j, (cols, dst) in enumerate(picks):
-                bands[j][:, dst] = y[j][:, cols]
-        return out
+        """(N, M) atom matrix, columns in atom order (see offsets)."""
+        return self._per_atom(lambda y: y.transpose(1, 0, 2))
 
     def band_eig_indices(self, j, tol=1e-8):
         """Eigenvalue indices where band j's kernel is nonzero (exact mode)."""
@@ -406,12 +413,16 @@ def solve_cg(op, b, tol, max_iter, precond=None):
     M^-1 r, M symmetric positive definite.  Stops at a relative residual
     ||b - op(x)|| / ||b|| of tol (unpreconditioned), after max_iter
     iterations, or on vanishing curvature, and returns the iterate with the
-    smallest relative residual together with convergence info.
+    smallest relative residual together with convergence info.  A
+    right-hand side whose norm overflows is refused.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     # the kernels' einsum reductions: see _kernels on BLAS threads
     bnorm = _kernels._norm(b)
+    if not np.isfinite(bnorm):
+        raise ValueError(f"right-hand side has norm {bnorm}; CG needs a "
+                         "finite one")
     if bnorm == 0:
         return np.zeros_like(b), InverseInfo(True, 0, 0.0)
     x = np.zeros_like(b)
@@ -487,12 +498,8 @@ def atom_norms_exact(d):
     The atoms come in identity blocks filtered through all bands at once,
     never as a dense N x N matrix.
     """
-    out = [np.empty(c.size) for c in d.centers]
-    for y, picks in d._atom_blocks(d.centers):
-        norms = np.linalg.norm(y, axis=1)
-        for j, (cols, dst) in enumerate(picks):
-            out[j][dst] = norms[j, cols]
-    return out
+    norms = d._per_atom(lambda y: np.linalg.norm(y, axis=1))
+    return np.split(norms, d.offsets)
 
 
 def filtered_probes(d, n_probes, draw):

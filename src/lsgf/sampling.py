@@ -131,11 +131,8 @@ def greedy_centers(d, counts, prune_level=0.01):
     if counts.shape != sizes.shape or np.any((counts < 1) | (counts > sizes)):
         raise ValueError("need one count per band, from 1 to the band's "
                          "number of centers")
-    scores = [np.empty(n) for n in sizes]
-    for y, picks in d._atom_blocks(d.centers):
-        mass = np.abs(y).sum(axis=1)
-        for j, (cols, dst) in enumerate(picks):
-            scores[j][dst] = mass[j, cols]
+    scores = np.split(d._per_atom(lambda y: np.abs(y).sum(axis=1)),
+                      d.offsets)
     tie = d.n * np.finfo(np.float64).eps
     sets = []
     for j, (centers, s) in enumerate(zip(d.centers, scores)):

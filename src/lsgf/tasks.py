@@ -245,13 +245,10 @@ def omp(atoms, f, n_terms):
 
 def flat_index_to_atom(d, flat):
     """Map a flat atom column index to its (band, center vertex) pair."""
-    offset = 0
-    for j in range(d.n_bands):
-        size = d.centers[j].size
-        if flat < offset + size:
-            return j, int(d.centers[j][flat - offset])
-        offset += size
-    raise IndexError("flat index out of range")
+    if not 0 <= flat < d.n_atoms:
+        raise IndexError("flat index out of range")
+    j = int(np.searchsorted(d.offsets, flat, side="right"))
+    return j, int(np.concatenate(d.centers)[flat])
 
 
 def compress_omp(d, f, n_terms):
@@ -278,30 +275,21 @@ def _hard_threshold_curve(d, f, budgets, cfg=None):
     if cfg is None:
         cfg = DenoiseConfig(sigma=1.0)
     coeffs = analysis(d, f)
-    norms = _atom_norms(d, cfg)
+    alpha = np.concatenate(coeffs.bands)
+    norms = np.concatenate(_atom_norms(d, cfg))
     # atoms from bands outside the occupied spectrum have ~zero norm and
     # carry ~zero coefficients; score them zero instead of dividing by zero
-    parts = []
-    for j in range(d.n_bands):
-        nj = np.asarray(norms[j], dtype=np.float64)
-        ok = nj > 1e-14
-        parts.append(np.where(ok, np.abs(coeffs.bands[j])
-                              / np.where(ok, nj, 1.0), 0.0))
-    flat_scores = np.concatenate(parts)
-    if not all(1 <= n_terms <= flat_scores.size for n_terms in budgets):
+    ok = norms > 1e-14
+    scores = np.where(ok, np.abs(alpha) / np.where(ok, norms, 1.0), 0.0)
+    if not all(1 <= n_terms <= scores.size for n_terms in budgets):
         raise ValueError("n_terms must be between 1 and the atom count")
-    order = np.lexsort((np.arange(flat_scores.size), -flat_scores))
+    # a stable sort: ties go to the lower flat index
+    order = np.argsort(-scores, kind="stable")
     out = []
     for n_terms in budgets:
-        keep = np.zeros(flat_scores.size, dtype=bool)
+        keep = np.zeros(scores.size, dtype=bool)
         keep[order[:n_terms]] = True
-        bands = []
-        offset = 0
-        for j in range(d.n_bands):
-            size = coeffs.bands[j].size
-            mask = keep[offset:offset + size]
-            bands.append(np.where(mask, coeffs.bands[j], 0.0))
-            offset += size
+        bands = np.split(np.where(keep, alpha, 0.0), d.offsets)
         kept = coeffs.copy_with(bands)
         fhat, info = reconstruct(d, kept, cfg.inverse, tol=cfg.cg_tol,
                                  max_iter=cfg.cg_max_iter,

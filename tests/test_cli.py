@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,21 +211,39 @@ def test_sample_exact_mode_draws_only_from_uniform_weights(workspace,
                                                            monkeypatch):
     # probe weights are estimated in polynomial mode and exact mode does
     # not pretend otherwise; uniform weights read no dictionary, so they
-    # cost no eigendecomposition
+    # cost no eigendecomposition, and neither does refusing the others
     tmp_path, g, f = workspace
     cen = tmp_path / "cen.csv"
     base = ["sample", "--graph", str(g), "--n-bands", "4", "--mode", "exact",
             "--counts", "3,2,4,1", "--signal", str(f), "--out", str(cen)]
-    with monkeypatch.context() as m:
-        m.setattr(lsgf.cli, "eigendecompose", None)
-        assert main(base + ["--weights", "uniform"]) == 0
+    monkeypatch.setattr(lsgf.cli, "eigendecompose", None)
+    assert main(base + ["--weights", "uniform"]) == 0
     assert [s.size for s in load_centers_csv(cen, n_bands=4).sets] \
         == [3, 2, 4, 1]
     cen.unlink()
     for weights in ("probe", "signal"):
         assert main(base + ["--weights", weights]) == 2
-        assert "polynomial mode" in capsys.readouterr().err
+        assert "sampling weights are estimated in polynomial mode" in \
+            capsys.readouterr().err
         assert not cen.exists()
+
+
+def test_denoise_refuses_noise_whose_norm_overflows(tmp_path, capsys):
+    # noise drawn at sigma = 1.3e154 on 200 vertices has a norm beyond the
+    # largest double: CG names its right-hand side's norm, and nothing warns
+    g, f = tmp_path / "g.csv", tmp_path / "f.csv"
+    assert main(["generate", "--kind", "sensor", "--n", "200", "--seed", "3",
+                 "--out", str(g), "--signal", "piecewise-smooth",
+                 "--signal-out", str(f)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["denoise", "--graph", str(g), "--signal", str(f),
+                     "--sigma", "1.3e154", "--out",
+                     str(tmp_path / "d.json")]) == 2
+    err = capsys.readouterr().err
+    assert "right-hand side has norm inf" in err
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_denoise_reports_metrics(workspace):

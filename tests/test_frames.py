@@ -1,5 +1,6 @@
 """Dictionaries, frame bounds and the three inverse transforms."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from lsgf import _kernels
 from lsgf.chebyshev import poly_atom
-from lsgf.filters import (Kernel, FilterBank, make_ideal_partition,
-                          make_log_warped_translates, make_sgwt,
-                          make_uniform_translates)
+from lsgf.filters import (Kernel, FilterBank, make_adapted_translates,
+                          make_ideal_partition, make_log_warped_translates,
+                          make_sgwt, make_uniform_translates)
 from lsgf.frames import (Coefficients, Dictionary, analysis,
                          atom_norm_estimate, atom_norms_exact,
                          cumulative_coherence,
@@ -23,6 +24,8 @@ from lsgf.frames import (Coefficients, Dictionary, analysis,
 from lsgf.generators import clique_chain_graph, path_graph, sensor_graph
 from lsgf.graphs import build_laplacian, eigendecompose
 from lsgf.sampling import greedy_centers
+from lsgf.spectrum import SpectralCDF
+from lsgf.tasks import flat_index_to_atom
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +312,75 @@ def test_token_sensitivity(setup):
         dictionary_poly(lap, bank, 20).token
     sub = [np.arange(10)] * 4
     assert dictionary_exact(lap, bank, eig, centers=sub).token != d1.token
+    # the band sizes split the centers: [0, 1], [2] is not [0], [1, 2]
+    pair = make_sgwt(lap.lambda_max_bound, 2)
+    for build in (lambda c: dictionary_exact(lap, pair, eig, centers=c),
+                  lambda c: dictionary_poly(lap, pair, 20, centers=c)):
+        assert build([[0, 1], [2]]).token != build([[0], [1, 2]]).token
+    # what the dictionary applies, not what its bank is called
+    renamed = dataclasses.replace(bank, design="renamed")
+    assert dictionary_exact(lap, renamed, eig).token == d1.token
+    assert dictionary_poly(lap, renamed, 20).token == \
+        dictionary_poly(lap, bank, 20).token
+
+
+def test_token_tells_differently_adapted_kernels_apart(setup):
+    # the kernels follow their warp's CDF, which a description of the
+    # kernels by family, parameters and warp kind leaves out
+    g, lap, eig, f = setup
+    lb = lap.lambda_max_bound
+    grid = np.linspace(0.0, lb, 5)
+    banks = [make_adapted_translates(lb, 4, SpectralCDF(grid, v),
+                                     energy=True)
+             for v in ([0.0, 0.7, 0.9, 0.95, 1.0],
+                       [0.0, 0.05, 0.1, 0.3, 1.0])]
+    d1, d2 = (dictionary_exact(lap, bank, eig) for bank in banks)
+    assert np.abs(d1._diag - d2._diag).max() > 0.5
+    assert d1.token != d2.token
+    with pytest.raises(ValueError, match="provenance"):
+        synthesis(d2, analysis(d1, f))
+    p1, p2 = (dictionary_poly(lap, bank, 20) for bank in banks)
+    assert p1.token != p2.token
+
+
+def test_token_is_hashed_on_first_read(setup, monkeypatch):
+    g, lap, eig, f = setup
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+
+    def refuse(*args):
+        raise AssertionError("hashed at construction")
+
+    with monkeypatch.context() as m:
+        m.setattr(hashlib, "sha256", refuse)
+        built = [dictionary_exact(lap, bank, eig),
+                 dictionary_poly(lap, bank, 20)]
+    for d in built:
+        assert "token" not in vars(d)
+        assert d.token == _tobytes_digest(d) == vars(d)["token"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "poly"])
+def test_materialized_columns_are_the_indexed_atoms(setup, mode):
+    # flat atom i is band j's atom at vertex v for (j, v) =
+    # flat_index_to_atom(d, i), with a band that has no centers
+    g, lap, eig, f = setup
+    bank = make_sgwt(lap.lambda_max_bound, 4)
+    centers = [np.arange(0, g.n, 4), np.array([], int), np.array([7, 2]),
+               np.arange(g.n)]
+    d = dictionary_exact(lap, bank, eig, centers=centers) \
+        if mode == "exact" else dictionary_poly(lap, bank, 20,
+                                                centers=centers)
+    mat = d.materialize()
+    assert mat.shape == (g.n, d.n_atoms)
+    for i in range(d.n_atoms):
+        atom = d.atom(*flat_index_to_atom(d, i))
+        # exact filtering rounds with the block's width; poly does not
+        if mode == "poly":
+            assert np.array_equal(mat[:, i], atom)
+        else:
+            assert np.allclose(mat[:, i], atom, rtol=0, atol=1e-13)
+    assert [b.size for b in np.split(mat, d.offsets, axis=1)] == \
+        [c.size * g.n for c in d.centers]
 
 
 def test_dictionary_mode_follows_its_representation(setup):
@@ -355,23 +427,16 @@ def _tobytes_digest(d):
     # the token's formula written with a tobytes() copy of every array
     h = hashlib.sha256()
     h.update(d.mode.encode())
-    h.update(d.lap.kind.encode())
-    h.update(np.int64(d.lap.n).tobytes())
     h.update(d.lap.indptr.tobytes())
     h.update(d.lap.indices.tobytes())
     h.update(d.lap.data.tobytes())
-    h.update(d.bank.design.encode())
-    for g in d.bank.kernels:
-        h.update(g.family.encode())
-        for key in sorted(g.params):
-            h.update(key.encode())
-            h.update(repr(g.params[key]).encode())
-        if g.warp is not None:
-            h.update(g.warp.kind.encode())
-            h.update(repr(g.warp.nu).encode())
-    if d.approx is not None:
+    if d.mode == "exact":
+        h.update(d._diag.tobytes())
+    else:
+        h.update(np.float64(d.approx[0].lambda_bar).tobytes())
         for p in d.approx:
             h.update(p.coeffs.tobytes())
+    h.update(np.array([c.size for c in d.centers], dtype=np.int64).tobytes())
     for c in d.centers:
         h.update(c.tobytes())
     return h.hexdigest()
@@ -674,6 +739,13 @@ def test_analysis_energy_lies_within_frame_bounds(seed, design, n_bands,
         got = analysis(d, f).norm() ** 2
         slack = 1e-12 * b.upper * energy
         assert b.lower * energy - slack <= got <= b.upper * energy + slack
+
+
+def test_solve_cg_refuses_an_overflowing_right_hand_side():
+    # the squared norm overflows, which would make every relative residual
+    # inf / inf
+    with pytest.raises(ValueError, match="right-hand side has norm inf"):
+        solve_cg(lambda p: 2.0 * p, np.full(4, 1e200), 1e-8, 10)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])

@@ -287,8 +287,10 @@ def test_flat_index_to_atom(small_dict):
     d = small_dict
     want = [(0, 2), (0, 5), (1, 1), (1, 3), (1, 4), (2, 0), (2, 7)]
     assert [flat_index_to_atom(d, i) for i in range(7)] == want
-    with pytest.raises(IndexError):
-        flat_index_to_atom(d, 7)
+    # a negative index counted from the end would name a real atom
+    for flat in (7, -1, -7):
+        with pytest.raises(IndexError):
+            flat_index_to_atom(d, flat)
 
 
 def test_compress_omp_reports_band_vertex_pairs(denoise_setup):
