@@ -1,4 +1,5 @@
-"""Low-level CSR and Chebyshev recurrence kernels on scipy.sparse.
+"""Low-level CSR and Chebyshev recurrence kernels on scipy's compiled
+sparse routines.
 
 Every Chebyshev entry point takes the raw CSR arrays (indptr, indices, data)
 of an operator M = 2 S and runs the same three-term recurrence,
@@ -36,13 +37,23 @@ second worker needs; a 2-column filter_all on a 20k-vertex sensor graph
 (J = 6, K = 40) then took 23-29 ms instead of 15-18 ms (2 CPUs).  Dense
 products with real work, such as exact mode's eigenvector transforms and
 OMP, keep BLAS.
+
+The sparse products and the CSR assembly call scipy's compiled sparsetools
+routines, the ones behind scipy.sparse's @, tocsr and subtraction, with the
+same arguments, so the results are scipy's bit for bit.  The module is
+loaded from its file, scipy/sparse/_sparsetools*, without importing the
+scipy.sparse package: that package loads numpy.f2py, numpy.testing and
+numpy.ma through scipy's array API layer, about 0.2 s and 16 MB of every
+CLI process.  If the file is missing or does not load, the module comes
+from scipy.sparse itself; BACKEND names the path taken.
 """
 
+import importlib.machinery
+import importlib.util
 import os
 import threading
 
 import numpy as np
-import scipy.sparse
 
 # shorter columns run their groups one after another: the threads break
 # even at about 5000 rows, below which their hand-offs of the interpreter
@@ -117,9 +128,100 @@ def _by_columns(run, out, x):
     return out
 
 
-def _operator(indptr, indices, data):
-    n = indptr.shape[0] - 1
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+def _load_sparsetools():
+    """(BACKEND, module) of scipy's compiled sparse routines."""
+    name = "scipy.sparse._sparsetools"
+    # find_spec locates a top-level package without importing it
+    spec = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if spec else ():
+        path = os.path.join(spec.submodule_search_locations[0], "sparse",
+                            "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+            except ImportError:
+                break
+            return "sparsetools", module
+    from scipy.sparse import _sparsetools
+    return "scipy.sparse", _sparsetools
+
+
+BACKEND, _sparsetools = _load_sparsetools()
+
+
+class _CSR:
+    """A square CSR matrix whose @ is scipy.sparse's: csr_matvec for a
+    vector or an (N, 1) column, csr_matvecs for an (N, B) block, each into
+    a zeroed C-contiguous output."""
+
+    __slots__ = ("indptr", "indices", "data")
+
+    def __init__(self, indptr, indices, data):
+        # the routines take one index dtype: cast only when the two differ
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        idx = np.promote_types(indptr.dtype, indices.dtype)
+        self.indptr = indptr.astype(idx, copy=False)
+        self.indices = indices.astype(idx, copy=False)
+        self.data = np.asarray(data)
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        n = self.indptr.shape[0] - 1
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError(f"matmul: operand of shape {x.shape} does not "
+                             f"fit a ({n}, {n}) matrix")
+        out = np.zeros((n,) + x.shape[1:], np.result_type(self.data, x))
+        if x.ndim == 1 or x.shape[1] == 1:
+            _sparsetools.csr_matvec(n, n, self.indptr, self.indices,
+                                    self.data, x.ravel(), out.ravel())
+        else:
+            _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr,
+                                     self.indices, self.data, x.ravel(),
+                                     out.ravel())
+        return out
+
+    def toarray(self):
+        n = self.indptr.shape[0] - 1
+        out = np.zeros((n, n), self.data.dtype)
+        _sparsetools.csr_todense(n, n, self.indptr, self.indices, self.data,
+                                 out)
+        return out
+
+
+_operator = _CSR
+
+
+def coo_to_csr(n, rows, cols, data):
+    """(indptr, indices, data) of the n x n COO entries, as scipy's tocsr
+    places them: row by row, each row's entries in input order.  rows and
+    cols must share an index dtype; no duplicates are summed."""
+    indptr = np.empty(n + 1, rows.dtype)
+    indices = np.empty_like(cols)
+    out = np.empty_like(data)
+    _sparsetools.coo_tocsr(n, n, rows.size, rows, cols, data, indptr,
+                           indices, out)
+    return indptr, indices, out
+
+
+def csr_minus(n, a, b):
+    """(indptr, indices, data) of A - B for n x n CSR triples, as scipy's
+    sparse subtraction makes it: entries that come out zero are dropped,
+    rows are sorted when both inputs are canonical, and the index dtype is
+    int32 unless the entry count needs int64."""
+    maxnnz = int(a[0][-1]) + int(b[0][-1])
+    idx = np.int32 if max(n, maxnnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(n + 1, idx)
+    indices = np.empty(maxnnz, idx)
+    data = np.empty(maxnnz, np.result_type(a[2], b[2]))
+    _sparsetools.csr_minus_csr(
+        n, n, *(arr.astype(idx, copy=False) for arr in a[:2]), a[2],
+        *(arr.astype(idx, copy=False) for arr in b[:2]), b[2],
+        indptr, indices, data)
+    nnz = indptr[-1]
+    return indptr, indices[:nnz], data[:nnz]
 
 
 def csr_matvec(indptr, indices, data, x):

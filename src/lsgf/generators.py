@@ -43,10 +43,13 @@ def grid_graph(rows, cols):
     """rows x cols lattice with unit weights."""
     if rows < 1 or cols < 1:
         raise ValueError(f"a grid needs rows, cols >= 1, got {rows} x {cols}")
-    idx = np.arange(rows * cols).reshape(rows, cols)
-    src = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-    dst = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-    rr, cc = np.divmod(np.arange(rows * cols), cols)
+    # each vertex's right neighbour, then the one below it: the pairs come
+    # in the (lo, hi) order that from_edges takes without sorting
+    v = np.arange(rows * cols)
+    rr, cc = np.divmod(v, cols)
+    keep = np.column_stack([cc < cols - 1, rr < rows - 1]).ravel()
+    src = np.repeat(v, 2)[keep]
+    dst = np.column_stack([v + 1, v + cols]).ravel()[keep]
     return SparseGraph.from_edges(rows * cols, src, dst,
                                   np.ones(src.size),
                                   coords=np.column_stack([cc, rr]))

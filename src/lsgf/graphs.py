@@ -7,18 +7,19 @@ duplicates; SparseGraph.edges is the one view of the upper half.  Laplacians
 carry a certified upper bound on their largest eigenvalue; every spectral
 interval in the package is [0, lambda_max_bound] of the Laplacian at hand.
 
-Importing this module loads only numpy and scipy.sparse: connectivity is a
-vectorized union-find over the edge arrays, and the few tools that need
-scipy.linalg or scipy.sparse.csgraph (hop_distances, eigendecompose,
-lanczos_lambda_max) import them when called, so that reading a graph and
-filtering on it does not pay for loading them.
+Importing this module loads only numpy and scipy's compiled sparse
+routines (see _kernels), which assemble the CSR arrays as scipy.sparse
+would: connectivity is a vectorized union-find over the edge arrays, and
+the few tools that need scipy.sparse, scipy.linalg or scipy.sparse.csgraph
+(to_scipy, hop_distances, eigendecompose, lanczos_lambda_max) import them
+when called, so that reading a graph and filtering on it does not pay for
+loading them.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import _kernels
 
@@ -80,13 +81,12 @@ class SparseGraph:
             raise ValueError("edge weights must be positive and finite")
 
         lo, hi, w = _merge_pairs(n, src, dst, w)
-        adj = scipy.sparse.coo_matrix(
-            (np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n)).tocsr()
-        adj.sort_indices()
-        g = cls(n=n,
-                indptr=adj.indptr.astype(np.int64),
-                indices=adj.indices.astype(np.int64),
-                weights=adj.data.astype(np.float64),
+        # the pairs ascend by (lo, hi), so with every (hi, lo) entry listed
+        # before the (lo, hi) ones each row's columns come out ascending
+        indptr, indices, weights = _kernels.coo_to_csr(
+            n, np.concatenate([hi, lo]), np.concatenate([lo, hi]),
+            np.concatenate([w, w]))
+        g = cls(n=n, indptr=indptr, indices=indices, weights=weights,
                 coords=None if coords is None else np.asarray(coords, float))
         if lo.size and np.any(component_roots(n, lo, hi)):
             warnings.warn("graph is disconnected", stacklevel=2)
@@ -110,7 +110,7 @@ class SparseGraph:
         return rows[upper], self.indices[upper], self.weights[upper]
 
     def to_scipy(self):
-        return _kernels._operator(self.indptr, self.indices, self.weights)
+        return _scipy_csr(self.n, self.indptr, self.indices, self.weights)
 
     def hop_distances(self, source):
         """Unweighted hop count from source; -1 marks unreachable vertices."""
@@ -129,18 +129,34 @@ class SparseGraph:
 
 def _merge_pairs(n, src, dst, w):
     """(lo, hi, w) with each pair once, lo < hi, sorted by the int64 key
-    lo * n + hi < n^2.  The sort is stable, so the conflict named is the
-    earliest; its temporaries end here, before the CSR build allocates."""
+    lo * n + hi < n^2; its temporaries end here, before the CSR build
+    allocates.
+
+    Pairs already in key order, as SparseGraph.edges lists them, need no
+    sort.  Otherwise copies of a pair that do not clash are identical, and
+    a clash shows whatever their order, so the first sort need not be
+    stable.  Only when it finds one does a stable sort redo the test, so
+    that the conflict named is the earliest in input order.
+    """
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
     key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    key, w = key[order], w[order]
-    first = np.diff(key, prepend=-1) != 0
-    clash = np.flatnonzero(~first & (np.diff(w, prepend=w[:1]) != 0))
-    if clash.size:
-        k = order[clash].min()
-        raise ValueError(f"conflicting duplicate edge ({lo[k]}, {hi[k]})")
-    return lo[order[first]], hi[order[first]], w[first]
+    if np.all(key[1:] > key[:-1]):
+        return lo, hi, w
+    for kind in ("quicksort", "stable"):
+        order = np.argsort(key, kind=kind)
+        sorted_key, sorted_w = key[order], w[order]
+        first = np.diff(sorted_key, prepend=-1) != 0
+        clash = np.flatnonzero(
+            ~first & (np.diff(sorted_w, prepend=sorted_w[:1]) != 0))
+        if not clash.size:
+            return lo[order[first]], hi[order[first]], sorted_w[first]
+    k = order[clash].min()
+    raise ValueError(f"conflicting duplicate edge ({lo[k]}, {hi[k]})")
+
+
+def _scipy_csr(n, indptr, indices, data):
+    import scipy.sparse  # here: no request path builds a scipy matrix
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _row_index(indptr):
@@ -216,7 +232,8 @@ class Laplacian:
         the first request for each lambda_bar and kept; it shares this
         Laplacian's indptr and indices when every row stores its diagonal,
         as build_laplacian's rows do unless a vertex has no edge, and
-        otherwise scipy inserts the missing entries.
+        otherwise the missing entries are inserted by scipy's sparse
+        subtraction L * scale - I * shift.
         """
         if not np.isfinite(lambda_bar):
             raise ValueError(f"approximant interval [0, {lambda_bar:g}] is "
@@ -238,17 +255,20 @@ class Laplacian:
                 data[diag] -= shift
                 op = self.indptr, self.indices, data
             else:
-                m = (self.to_scipy() * scale
-                     - scipy.sparse.identity(self.n) * shift).tocsr()
-                op = m.indptr, m.indices, m.data
+                eye = (np.arange(self.n + 1), np.arange(self.n),
+                       np.full(self.n, shift))
+                op = _kernels.csr_minus(
+                    self.n, (self.indptr, self.indices, self.data * scale),
+                    eye)
             self._operators[lambda_bar] = op
         return op
 
     def to_scipy(self):
-        return _kernels._operator(self.indptr, self.indices, self.data)
+        return _scipy_csr(self.n, self.indptr, self.indices, self.data)
 
     def toarray(self):
-        return self.to_scipy().toarray()
+        return _kernels._operator(self.indptr, self.indices,
+                                  self.data).toarray()
 
     def with_lambda_bound(self, value):
         """Copy of this Laplacian with a replacement spectral upper bound."""
@@ -263,29 +283,38 @@ def build_laplacian(graph, kind="combinatorial"):
     """Assemble the Laplacian of the given kind.
 
     The recorded bound is max over edges (m, n) of d(m) + d(n) for the
-    combinatorial kind and 2 for the normalized kind.
+    combinatorial kind and 2 for the normalized kind.  The CSR arrays are
+    those of scipy's diags(d) - W, and of
+    diags(d^-1/2) @ (diags(d) - W) @ diags(d^-1/2) for the normalized kind,
+    bit for bit: rows sorted, int32 indices while they fit, an isolated
+    vertex's zero diagonal dropped, and a normalized entry rounded as
+    (d_i^-1/2 a_ij) d_j^-1/2.
     """
     if kind not in ("combinatorial", "normalized"):
         raise ValueError(f"unknown laplacian kind {kind!r}")
-    w = graph.to_scipy()
     deg = graph.degrees()
+    w = graph.weights
     if kind == "combinatorial":
-        lap = scipy.sparse.diags(deg) - w
+        diag = deg
         src, dst, _ = graph.edges()
         bound = float(np.max(deg[src] + deg[dst])) if src.size else 1.0
     else:
         if np.any(deg == 0):
             raise ValueError("normalized laplacian requires nonzero degrees")
         dinv = 1.0 / np.sqrt(deg)
-        lap = scipy.sparse.diags(dinv) @ (scipy.sparse.diags(deg) - w) \
-            @ scipy.sparse.diags(dinv)
+        # each side's scaling rounds as scipy's products round it; an entry
+        # that underflows to zero is dropped by the subtraction below
+        diag = (dinv * deg) * dinv
+        w = (dinv[_row_index(graph.indptr)] * w) * dinv[graph.indices]
         bound = 2.0
-    lap = scipy.sparse.csr_matrix(lap)
-    lap.sort_indices()
-    # scipy's own index dtype, so the kernels' operators share these arrays
-    return Laplacian(kind=kind, n=graph.n, indptr=lap.indptr,
-                     indices=lap.indices, data=lap.data.astype(np.float64),
-                     lambda_max_bound=bound, graph=graph)
+    stored = np.flatnonzero(diag)
+    d = (np.r_[0, np.cumsum(diag != 0)], stored, diag[stored])
+    indptr, indices, data = _kernels.csr_minus(
+        graph.n, d, (graph.indptr, graph.indices, w))
+    # int32 indices, as scipy chose them, so the kernels' operators share
+    # these arrays
+    return Laplacian(kind=kind, n=graph.n, indptr=indptr, indices=indices,
+                     data=data, lambda_max_bound=bound, graph=graph)
 
 
 def quadratic_form(lap, f):

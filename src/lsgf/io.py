@@ -11,7 +11,6 @@ import struct
 from io import StringIO
 
 import numpy as np
-import scipy.sparse
 
 from .frames import Coefficients
 from .graphs import SparseGraph
@@ -30,12 +29,14 @@ _ID_LIMIT = 2 ** 31 - 1  # graph CSV ids lie below this
 
 def save_graph_mm(path, graph):
     import scipy.io  # here, so that starting the CLI does not load it
+    import scipy.sparse
     scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(graph.to_scipy()),
                      symmetry="symmetric")
 
 
 def load_graph_mm(path):
     import scipy.io
+    import scipy.sparse
     mat = scipy.sparse.coo_matrix(scipy.io.mmread(str(path)))
     off = mat.row != mat.col
     if np.any(~off & (mat.data != 0)):

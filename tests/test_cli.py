@@ -856,19 +856,19 @@ def test_malformed_coefficient_files_exit_2(path4, tmp_path_factory, data):
 def test_cli_import_leaves_interpolation_unloaded(tmp_path):
     # most commands build no CDF, run no probe block and read no Matrix
     # Market file, so the CLI must not pay for loading scipy.interpolate,
-    # the kernels' thread pool or scipy.io at start-up (scipy.sparse itself
-    # loads the concurrent.futures package); spectrum-cdf writes its CDF's
-    # grid and values and never evaluates it; sensor graphs search a cell
-    # grid in numpy, so no command loads scipy.spatial or, through it,
-    # scipy.linalg
+    # the kernels' thread pool or scipy.io at start-up; the kernels load
+    # scipy's compiled sparse routines from their file, so scipy.sparse
+    # itself stays unloaded; spectrum-cdf writes its CDF's grid and values
+    # and never evaluates it; sensor graphs search a cell grid in numpy, so
+    # no command loads scipy.spatial or, through it, scipy.linalg
     g = tmp_path / "g.csv"
     save_graph_csv(g, grid_graph(4, 5))
     src = str(Path(lsgf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     unloaded = ("[m for m in ('scipy.interpolate', 'concurrent.futures."
-                "thread', 'scipy.spatial', 'scipy.linalg', 'scipy.io') "
-                "if m in sys.modules]")
+                "thread', 'scipy.spatial', 'scipy.linalg', 'scipy.io', "
+                "'scipy.sparse') if m in sys.modules]")
     cdf = ("main(['spectrum-cdf', '--graph', sys.argv[1], '--out', "
            "sys.argv[2]]); ")
     sensor = ("main(['generate', '--kind', 'sensor', '--n', '300', "
@@ -885,9 +885,11 @@ def test_cli_import_leaves_interpolation_unloaded(tmp_path):
 
 
 def test_request_stages_leave_linalg_and_csgraph_unloaded(tmp_path):
-    # reading a graph checks connectivity without scipy.sparse.csgraph, and
-    # scipy.linalg loads only for exact modes, Lanczos and QR pivoting, so
-    # none of the pipeline's request stages pays for loading them
+    # reading a graph checks connectivity without scipy.sparse.csgraph,
+    # scipy.linalg loads only for exact modes, Lanczos and QR pivoting, and
+    # graphs are assembled and filtered by scipy's compiled routines without
+    # the scipy.sparse package, so none of the pipeline's request stages
+    # pays for loading them
     g, f, noisy = (tmp_path / name for name in ("g.csv", "f.csv", "n.csv"))
     save_graph_csv(g, grid_graph(4, 5))
     rng = np.random.default_rng(0)
@@ -910,7 +912,8 @@ def test_request_stages_leave_linalg_and_csgraph_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     loaded = ("[m for m in ('scipy.linalg', 'scipy.sparse.csgraph', "
-              "'scipy.sparse.linalg', 'scipy.spatial') if m in sys.modules]")
+              "'scipy.sparse.linalg', 'scipy.spatial', 'scipy.sparse') "
+              "if m in sys.modules]")
     code = ("import json, sys; from lsgf.cli import main; "
             f"print({loaded}); "
             "codes = [main([s[0], '--graph', sys.argv[1], *s[1:]]) "

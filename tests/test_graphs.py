@@ -111,6 +111,34 @@ def test_from_edges_rejects_bad_input():
                                [1.0, 1.0, 2.0, 3.0])
 
 
+def _earliest_conflict(n, src, dst, w):
+    # the rule a stable sort of the pair keys gives: of the copies that
+    # differ from the copy before them, the one earliest in input order
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.argsort(lo * n + hi, kind="stable")
+    key, ws = (lo * n + hi)[order], w[order]
+    clash = order[(np.diff(key, prepend=-1) == 0)
+                  & (np.diff(ws, prepend=ws[:1]) != 0)]
+    return lo[clash.min()], hi[clash.min()]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_from_edges_names_the_earliest_of_several_conflicts(seed):
+    # 4000 copies of pairs among 60 vertices, three of them with another
+    # weight: the pairs are sorted unstably, and only the error path sorts
+    # stably, so the pair named does not depend on the sort's tie order
+    rng = np.random.default_rng(seed)
+    n, m = 60, 4000
+    src = rng.integers(0, n, m)
+    dst = (src + rng.integers(1, n, m)) % n
+    w = np.ones(m)
+    w[rng.choice(m, 3, replace=False)] = 2.0
+    lo, hi = _earliest_conflict(n, src, dst, w)
+    with pytest.raises(ValueError,
+                       match=rf"duplicate edge \({lo}, {hi}\)$"):
+        SparseGraph.from_edges(n, src, dst, w)
+
+
 def test_from_edges_merges_consistent_duplicates():
     g = SparseGraph.from_edges(3, [0, 1, 1], [1, 0, 2], [1.5, 1.5, 2.0])
     assert g.n_edges == 2
@@ -183,6 +211,104 @@ def test_laplacians_match_recorded_arrays():
              "65ad1fd6b53899c66c64d787306d5234"
              "d4657f4bb823fe9e95322a75e4c2fc9c")]:
         assert _lap_sha256(build_laplacian(g, kind)) == digest, (g.n, kind)
+
+
+def _digest(*arrays):
+    # the arrays' dtypes and bytes
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _scipy_graph(n, lo, hi, w):
+    # the graph's CSR matrix as scipy.sparse assembles it from COO
+    adj = scipy.sparse.coo_matrix(
+        (np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n)).tocsr()
+    adj.sort_indices()
+    return adj
+
+
+def _scipy_laplacian(adj, kind):
+    # diags minus W, and the normalized kind by two diagonal products; the
+    # row sums in CSR order, as SparseGraph.degrees adds them
+    deg = np.bincount(np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr)),
+                      weights=adj.data, minlength=adj.shape[0])
+    lap = scipy.sparse.diags(deg) - adj
+    if kind == "normalized":
+        dinv = scipy.sparse.diags(1.0 / np.sqrt(deg))
+        lap = dinv @ lap @ dinv
+    lap = scipy.sparse.csr_matrix(lap)
+    lap.sort_indices()
+    return lap.indptr, lap.indices, lap.data
+
+
+def _quiet_from_edges(n, src, dst, w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # disconnected
+        return SparseGraph.from_edges(n, src, dst, w)
+
+
+def _isolated_vertices_graph():
+    # a 12-vertex path with weights of every scale, an edge 13-15, and
+    # vertices 12 and 14 without edges
+    lo = np.r_[np.arange(11), 13]
+    return _quiet_from_edges(16, lo, np.r_[lo[:11] + 1, 15],
+                             np.r_[np.geomspace(1e-3, 1e3, 11), 1.0])
+
+
+def _underflow_graph():
+    # the middle edge's normalized entry, 1e-300 / 1e300, is zero
+    return SparseGraph.from_edges(4, [0, 1, 2], [1, 2, 3],
+                                  [1e300, 1e-300, 1e300])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sensor_graph(1500, seed=5), lambda: grid_graph(25, 31),
+    lambda: erdos_renyi_graph(250, 0.04, seed=3), _isolated_vertices_graph,
+    _underflow_graph])
+def test_assembly_matches_scipy_sparse_bitwise(make):
+    # from_edges and both Laplacian kinds equal scipy's own assembly in
+    # every array and dtype, given the pairs shuffled, in either
+    # orientation, and a third of them twice
+    g = make()
+    n, (lo, hi, w) = g.n, g.edges()
+    rng = np.random.default_rng(n)
+    copies = rng.permutation(np.r_[np.arange(lo.size),
+                                   rng.choice(lo.size, lo.size // 3)])
+    flip = rng.random(copies.size) < 0.5
+    g = _quiet_from_edges(n, np.where(flip, hi[copies], lo[copies]),
+                          np.where(flip, lo[copies], hi[copies]), w[copies])
+    adj = _scipy_graph(n, lo, hi, w)
+    assert _digest(*_csr(g)) == _digest(adj.indptr.astype(np.int64),
+                                        adj.indices.astype(np.int64),
+                                        adj.data)
+    kinds = ["combinatorial", "normalized"][:1 + g.degrees().all()]
+    for kind in kinds:
+        lap = build_laplacian(g, kind)
+        assert _digest(lap.indptr, lap.indices, lap.data) == _digest(
+            *_scipy_laplacian(adj, kind))
+
+
+def test_assembly_drops_zero_entries():
+    # scipy drops an isolated vertex's zero diagonal and a normalized entry
+    # that underflows; so does build_laplacian
+    lap = build_laplacian(_isolated_vertices_graph())
+    assert np.array_equal(np.diff(lap.indptr)[[12, 14]], [0, 0])
+    lap = build_laplacian(_underflow_graph(), "normalized")
+    assert lap.indices.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
+
+
+def test_chebyshev_operator_inserts_diagonals_as_scipy_does():
+    # rows without a stored diagonal take scipy's L * scale - I * shift
+    lap = build_laplacian(_isolated_vertices_graph())
+    for lambda_bar in (lap.lambda_max_bound, 2.7 * lap.lambda_max_bound):
+        scale = 4.0 / lambda_bar
+        want = (lap.to_scipy() * scale - scipy.sparse.identity(lap.n)
+                * (scale * (lambda_bar / 2.0))).tocsr()
+        assert _digest(*lap.chebyshev_operator(lambda_bar)) == _digest(
+            want.indptr, want.indices, want.data)
 
 
 def _csr_sha256(g):

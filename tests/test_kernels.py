@@ -3,6 +3,8 @@
 import importlib.util
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -61,6 +63,86 @@ def test_matvec_handles_empty_rows():
     x = np.array([1.0, -1.0, 5.0, 7.0])
     y = _kernels.csr_matvec(indptr, indices, data, x)
     assert np.array_equal(y, [-2.0, 2.0, 0.0, 0.0])
+
+
+@pytest.fixture(scope="module")
+def empty_row_operator():
+    # a sensor graph's M with vertex 300 left without edges: its row of L
+    # is empty, and chebyshev_operator inserts only the diagonal
+    g = sensor_graph(300, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        g = SparseGraph.from_edges(301, *g.edges())
+    lap = build_laplacian(g, kind="combinatorial")
+    return lap.chebyshev_operator(lap.lambda_max_bound)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_products_equal_scipy_sparse_bitwise(empty_row_operator,
+                                             index_dtype):
+    # the kernels' product against scipy.sparse's @, in value, dtype and
+    # shape: a vector, a strided column, an (N, 1) column and (N, B) blocks
+    # in C and F order
+    indptr, indices, data = (a.astype(dt) for a, dt in zip(
+        empty_row_operator, (index_dtype, index_dtype, np.float64)))
+    n = indptr.size - 1
+    ours = _kernels._operator(indptr, indices, data)
+    assert ours.indices.dtype == index_dtype
+    theirs = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    block = np.random.default_rng(9).standard_normal((n, 5))
+    for x in (block[:, 0].copy(), block[:, 1], block[:, 2:3], block,
+              np.asfortranarray(block), block[:, ::2]):
+        want = theirs @ x
+        for got in (ours @ x, _kernels.csr_matvec(indptr, indices, data, x)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert (ours @ block)[300].tolist() == [-2.0 * v for v in block[300]]
+
+
+def test_mixed_index_dtypes_are_cast_once(lap):
+    a = _kernels._operator(lap.indptr.astype(np.int64), lap.indices,
+                           lap.data)
+    assert a.indptr.dtype == a.indices.dtype == np.int64
+    assert np.shares_memory(a.data, lap.data)
+
+
+def test_scipy_sparse_backend_gives_the_same_results():
+    # the routines load from their file; if that fails they come from
+    # scipy.sparse, which then loads, and every result is the same
+    code = """if True:
+        import hashlib, importlib.abc, importlib.machinery, sys
+        if sys.argv[1] == "refuse":
+            # only the load by path sees this class: the import system
+            # keeps the loader class it started with
+            class Refusing(importlib.machinery.ExtensionFileLoader):
+                def create_module(self, spec):
+                    raise ImportError("refused")
+            importlib.machinery.ExtensionFileLoader = Refusing
+        import numpy as np
+        from lsgf import _kernels
+        from lsgf.generators import sensor_graph
+        from lsgf.graphs import build_laplacian
+        g = sensor_graph(2000, seed=4)
+        lap = build_laplacian(g, kind="normalized")
+        m = lap.chebyshev_operator(2.0)
+        x = np.random.default_rng(0).standard_normal((g.n, 3))
+        h = hashlib.sha256()
+        for a in (g.indptr, g.indices, g.weights, *m, lap.matvec(x),
+                  lap.matvec(x[:, 0]), _kernels.cheb_moments(*m, 9, x),
+                  _kernels.cheb_apply_stack(*m, np.ones((2, 9)), x)):
+            h.update(a.dtype.str.encode() + a.tobytes())
+        print(_kernels.BACKEND, "scipy.sparse" in sys.modules, h.hexdigest())
+    """
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    runs = [subprocess.run([sys.executable, "-c", code, how], env=env,
+                           check=True, capture_output=True,
+                           text=True).stdout.split()
+            for how in ("load", "refuse")]
+    assert runs[0][:2] == ["sparsetools", "False"]
+    assert runs[1][:2] == ["scipy.sparse", "True"]
+    assert runs[0][2] == runs[1][2]
 
 
 def test_stack_rows_match_single_apply_bitwise(lap):
