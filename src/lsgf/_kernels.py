@@ -10,6 +10,18 @@ S = 2 L / lambda_bar - I and M is built once per interval and kept by
 Laplacian.chebyshev_operator, on L's own indptr and indices.  Results are
 deterministic: the sparse product sums each row in storage order.
 
+cheb_apply_stack filters x through J polynomials in one recurrence and
+accumulates all J outputs with one compiled call per step.  Its output for
+a group of B columns is B contiguous (J, N) slabs, i.e. the rows of a
+(B J, N) matrix Y, and step k >= 1 is Y += A_k T_k, where T_k holds the B
+columns of T_k(S) x as rows and A_k is the block-diagonal (B J) x B CSR
+matrix with the coefficients c_k in each column.  scipy's csr_matvecs runs
+that update as one axpy per output row, so every element takes one rounded
+product and one add per step in ascending k, as a multiply-then-add per
+band would: rows equal standalone cheb_apply calls (its row 0) bit for bit,
+signed zeros included, since step 0 stores c_0 T_0(S) x rather than adding
+it to zero.
+
 Moments mu_k = x . T_k(S) x take half the recurrence.  Since
 T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 and S is symmetric,
 mu_2k = 2 |T_k(S) x|^2 - mu_0 and mu_2k-1 = 2 <T_k(S) x, T_k-1(S) x> - mu_1,
@@ -22,10 +34,13 @@ process's affinity mask.  Each group runs as one recurrence, the first on
 the calling thread and the others on a module pool of W - 1 threads, and
 writes into its own slice of one preallocated output; a block of fewer than
 _THREADED_MIN_ROWS rows runs its groups in turn on the calling thread.  A
-one-column group runs the (N,) path, so each column of a block equals the
-call on that column alone bit for bit.  With W = 1 or B = 1 the call runs
-inline.  Workers call only private helpers and make no BLAS call: BLAS runs
-threads of its own, and sharing the CPUs with them slowed the recurrences.
+one-column group runs the (N,) path.  The sparse products and the stack's
+accumulation give each column the same bits at any group width, so the
+applied filters equal per-column calls bit for bit; a group's moments are
+einsum reductions over its columns, which may round differently from a
+single column's.  With W = 1 or B = 1 the call runs inline.  Workers call
+only private helpers and make no BLAS call: BLAS runs threads of its own,
+and sharing the CPUs with them slowed the recurrences.
 
 The calling thread keeps to the same rule on request paths: single-vector
 reductions (dots, norms, CG's inner products, the Clenshaw coefficient
@@ -55,10 +70,11 @@ import threading
 
 import numpy as np
 
-# shorter columns run their groups one after another: the threads break
-# even at about 5000 rows, below which their hand-offs of the interpreter
-# lock cost more than the parallel recurrences save (sensor graphs, J = 6,
-# K = 40, 2 CPUs)
+# shorter columns run their groups one after another: below it the threads'
+# hand-offs of the interpreter lock cost about what the parallel recurrences
+# save.  With one accumulation call per step, a 2-column filter_all (sensor
+# graphs, J = 6, K = 40, 2 CPUs) ran faster threaded in 0-2 of 10 trials at
+# 2000 rows, 3-4 at 5000, 5-6 at 10000 and 10 at 20000
 _THREADED_MIN_ROWS = 6144
 
 _pool = None
@@ -255,22 +271,28 @@ def _chebyshev_vectors(m, n_terms, x):
 
 
 def _stack(m, coeff_rows, out, x):
-    # row by row, so that a worker holds no (J, N) temporary.  The scaled
-    # rows go into T_{k-2} x, dead once T_k x is made (a fresh vector only
-    # at k = 1); the reference is dropped before the recurrence resumes, so
-    # that it frees the buffer before allocating T_{k+1} x
-    vectors = _chebyshev_vectors(m, coeff_rows.shape[1], x)
-    older = newer = None
-    for k, (c, t) in enumerate(zip(coeff_rows.T, vectors)):
+    # out is (J, N) for a vector, or for a group of B columns a (J, N, B)
+    # view of a C-contiguous (B, J, N) buffer: either way y below is the
+    # (B J, N) matrix Y of the module notes, and rows holds T_k as B rows
+    n_bands, n_terms = coeff_rows.shape
+    b = 1 if x.ndim == 1 else x.shape[1]
+    n = x.shape[0]
+    y = out if x.ndim == 1 else out.transpose(2, 0, 1)
+    indptr = np.arange(b * n_bands + 1, dtype=np.intc)
+    indices = np.repeat(np.arange(b, dtype=np.intc), n_bands)
+    coeffs = coeff_rows.astype(np.float64, casting="same_kind", copy=False)
+    data = np.tile(coeffs.T, (1, b))  # row k: c_k for each column
+    rows = None if b == 1 else np.empty((b, n))
+    vectors = _chebyshev_vectors(m, n_terms, x)
+    for k, (c, t) in enumerate(zip(data, vectors)):
         if k == 0:
-            for j in range(c.size):
-                np.multiply(c[j], t, out=out[j])
-        else:
-            scratch = np.empty_like(t) if older is None else older
-            for j in range(c.size):
-                out[j] += np.multiply(c[j], t, out=scratch)
-            scratch = None
-        older, newer = newer, t
+            np.multiply(coeffs[:, 0].reshape((n_bands,) + (1,) * x.ndim), t,
+                        out=out)
+            continue
+        if rows is not None:
+            rows[...] = t.T
+        _sparsetools.csr_matvecs(b * n_bands, b, n, indptr, indices, c,
+                                 t if rows is None else rows, y)
 
 
 def _moments(m, out, x):
@@ -291,16 +313,21 @@ def _moments(m, out, x):
         prev = t
 
 
-def _apply(indptr, indices, data, coeff_rows, x, out):
+def _apply(indptr, indices, data, coeff_rows, x):
+    # a block's output is stored column by column: each column's (J, N)
+    # result is one contiguous slice, as _stack writes it
+    x = np.asarray(x)
+    shape = (coeff_rows.shape[0], x.shape[0])
+    out = np.empty(shape) if x.ndim == 1 \
+        else np.empty((x.shape[1],) + shape).transpose(1, 2, 0)
     m = _operator(indptr, indices, data)
     return _by_columns(lambda o, xg: _stack(m, coeff_rows, o, xg), out, x)
 
 
 def cheb_apply(indptr, indices, data, coeffs, x):
-    """y = sum_k coeffs[k] T_k(S) x for the CSR operator M = 2 S."""
-    x = np.asarray(x)
-    return _apply(indptr, indices, data, np.asarray(coeffs)[None], x,
-                  np.empty((1,) + x.shape))[0]
+    """y = sum_k coeffs[k] T_k(S) x for the CSR operator M = 2 S: row 0 of
+    cheb_apply_stack with the one row coeffs."""
+    return _apply(indptr, indices, data, np.asarray(coeffs)[None], x)[0]
 
 
 def cheb_apply_stack(indptr, indices, data, coeff_rows, x):
@@ -313,12 +340,7 @@ def cheb_apply_stack(indptr, indices, data, coeff_rows, x):
     stored column by column, so that each column's (J, N) result is one
     contiguous slice.
     """
-    x = np.asarray(x)
-    coeff_rows = np.asarray(coeff_rows)
-    shape = (coeff_rows.shape[0], x.shape[0])
-    out = np.empty(shape) if x.ndim == 1 \
-        else np.empty((x.shape[1],) + shape).transpose(1, 2, 0)
-    return _apply(indptr, indices, data, coeff_rows, x, out)
+    return _apply(indptr, indices, data, np.asarray(coeff_rows), x)
 
 
 def cheb_moments(indptr, indices, data, n_moments, x):

@@ -296,8 +296,11 @@ def build_laplacian(graph, kind="combinatorial"):
     w = graph.weights
     if kind == "combinatorial":
         diag = deg
-        src, dst, _ = graph.edges()
-        bound = float(np.max(deg[src] + deg[dst])) if src.size else 1.0
+        # both halves are stored, so the maximum over stored entries is the
+        # one over edges; added in place, to keep one temporary of nnz floats
+        ends = deg[graph.indices]
+        ends += np.repeat(deg, np.diff(graph.indptr))
+        bound = float(np.max(ends)) if ends.size else 1.0
     else:
         if np.any(deg == 0):
             raise ValueError("normalized laplacian requires nonzero degrees")

@@ -291,6 +291,21 @@ def test_assembly_matches_scipy_sparse_bitwise(make):
             *_scipy_laplacian(adj, kind))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sensor_graph(1500, seed=5), lambda: grid_graph(25, 31),
+    lambda: erdos_renyi_graph(250, 0.04, seed=3), _isolated_vertices_graph,
+    lambda: _quiet_from_edges(5, [], [], [])])
+def test_combinatorial_bound_is_the_edge_maximum(make):
+    # max(d_i + d_j) over every stored entry is the maximum over edges, as
+    # both halves are stored; a graph without edges records 1.0
+    g = make()
+    deg = g.degrees()
+    src, dst, _ = g.edges()
+    want = float(np.max(deg[src] + deg[dst])) if src.size else 1.0
+    bound = build_laplacian(g).lambda_max_bound
+    assert type(bound) is float and bound == want
+
+
 def test_assembly_drops_zero_entries():
     # scipy drops an isolated vertex's zero diagonal and a normalized entry
     # that underflows; so does build_laplacian

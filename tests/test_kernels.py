@@ -210,8 +210,9 @@ def test_clenshaw_adjoint_matches_per_band_recurrences(lap, seed, n_bands,
 
 def test_stack_recurrence_holds_three_vectors():
     # beyond its output, a single-column stack holds T_{k-1} x, T_k x and
-    # the new T_{k+1} x: the scaled rows reuse the dead T_{k-2} x rather
-    # than a vector of their own, and the operator M is built beforehand
+    # the new T_{k+1} x: each step adds c_k T_k x to every band in one
+    # compiled call with no scaled vector of its own, and the operator M is
+    # built beforehand
     lap = build_laplacian(grid_graph(100, 100), kind="combinatorial")
     x = np.random.default_rng(6).standard_normal(lap.n)
     rows = np.random.default_rng(7).standard_normal((6, 21))
@@ -381,6 +382,7 @@ def test_blocks_match_per_column_calls(lap, seed, n_cols, workers, degree,
                                        threaded_rows):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((lap.n, n_cols))
+    x[::5] = -0.0
     rows = rng.standard_normal((3, degree + 1))
     m = _m(lap)
     calls = [
@@ -390,15 +392,26 @@ def test_blocks_match_per_column_calls(lap, seed, n_cols, workers, degree,
     with mock.patch.object(_kernels, "n_workers", return_value=workers), \
             mock.patch.object(_kernels, "_THREADED_MIN_ROWS", threaded_rows):
         got = [call(x) for call in calls]
-    for call, block in zip(calls, got):
+    for call, block in zip(calls[:2], got[:2]):
+        # each step adds c_k T_k(S) x by one product and one add per
+        # element, whatever the group width; each column's result is one
+        # C-contiguous slice, the rows the accumulation call writes
         want = _per_column(call, x)
         assert block.shape == want.shape
-        if n_cols <= workers:
-            # every column group is one column and runs the (N,) path
-            assert np.array_equal(block, want)
-        else:
-            scale = np.abs(want).max(axis=tuple(range(want.ndim - 1)))
-            assert np.all(np.abs(block - want) <= 1e-12 * (scale + 1.0))
+        assert np.array_equal(block, want)
+        assert np.array_equal(np.signbit(block), np.signbit(want))
+        for b in range(n_cols):
+            assert block[..., b].flags.c_contiguous
+    want = _per_column(calls[2], x)
+    assert got[2].shape == want.shape
+    if n_cols <= workers:
+        # every column group is one column and runs the (N,) path
+        assert np.array_equal(got[2], want)
+    else:
+        # a group's moments are einsum reductions over (N, B) columns,
+        # summed in another order than a single column's
+        scale = np.abs(want).max(axis=0)
+        assert np.all(np.abs(got[2] - want) <= 1e-12 * (scale + 1.0))
 
 
 def test_probe_estimators_do_not_depend_on_worker_count():
